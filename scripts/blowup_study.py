@@ -2,7 +2,7 @@
 """Blow-up study: closed-form existence threshold vs numerical abort.
 
 For a family of straight strings with increasing forward z-velocity k the
-closed form predicts loss of smoothness at t* = 4/k.  The study prints the
+closed form predicts loss of smoothness at t* = 2/k.  The study prints the
 scanned verdict, the bisected t*, and where the lattice solver actually
 gives up.
 """

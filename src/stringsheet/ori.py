@@ -26,12 +26,13 @@ from scipy.interpolate import CubicSpline
 
 from .config import DEFAULT_THRESHOLDS
 from .errors import ConfigError, DomainTruncationError
-from .lightcone import LightconeGrid
+from .lightcone import LightconeGrid, initial_lightcone_data
 from .transport import CoordinateMap
 from .worldsheet import StringInitialData
 
 __all__ = [
     "OriClosedForm",
+    "LatticeTables",
     "ExistenceReport",
     "CorollaryFlags",
     "PlaneFields",
@@ -66,6 +67,11 @@ def _segment_integrals(f, nodes, tol=1e-13):
         prev = cur
         panels *= 2
     return cur
+
+
+def _u3_of_argument(arg, eps_log):
+    """-2 log of the log argument; NaN where it is at or below eps_log."""
+    return -2.0 * np.log(np.where(arg > eps_log, arg, np.nan))
 
 
 @dataclass(frozen=True)
@@ -333,9 +339,7 @@ class OriClosedForm:
     def u3(self, t, vtheta, form="psi"):
         """Closed-form z-component; NaN marks blown-up points (argument at
         or below the log threshold)."""
-        arg = self.log_argument(t, vtheta, form=form)
-        out = np.where(arg > self.eps_log, arg, np.nan)
-        return -2.0 * np.log(out)
+        return _u3_of_argument(self.log_argument(t, vtheta, form=form), self.eps_log)
 
     def u3_xi(self, t, vtheta):
         """Exact xi-derivative of u3 (quotient of integrand evaluations)."""
@@ -385,7 +389,11 @@ class OriClosedForm:
     ) -> ExistenceReport:
         """Scan the log argument over the region and report the verdict; on
         failure the earliest violation is bracketed on the grid and refined
-        by bisection in t."""
+        by bisection in t.
+
+        The scan lattice has nodes lo + j step and levels t = m step, so
+        every level below t_max is read from the lattice tables; the final
+        level clipped to t_max and the bisection evaluate pointwise."""
         if window is None:
             window = self.scan_window()
         lo, hi = map(float, window)
@@ -395,21 +403,27 @@ class OriClosedForm:
                 if self.periodic
                 else (hi - lo) / max(1, len(self.vtheta_nodes) - 1)
             )
-        nodes = (
-            np.arange(lo, hi, step)
-            if self.periodic
-            else np.linspace(lo, hi, int(np.floor((hi - lo) / step)) + 1)
-        )
+        if self.periodic:
+            # the node at lo + period is the node at lo again
+            n = int(np.ceil((hi - lo) / step - 1e-9))
+        else:
+            n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+        nodes = lo + step * np.arange(n)
         levels = int(np.floor(t_max / step)) + 1
-        t_nodes = np.minimum(step * np.arange(levels + 1), t_max)
+        t_grid = step * np.arange(levels + 1)
+        t_nodes = np.minimum(t_grid, t_max)
+        tables = LatticeTables(self, lo, step, n, levels)
 
         def min_arg(tval):
             return float(np.min(self.log_argument(np.full_like(nodes, tval), nodes)))
 
         margin = np.inf
         t_prev = 0.0
-        for tval in t_nodes:
-            m = min_arg(float(tval))
+        for level, tval in enumerate(t_nodes):
+            if t_grid[level] <= t_max:
+                m = float(np.min(tables.log_argument(level, 0, n)))
+            else:
+                m = min_arg(float(tval))
             margin = min(margin, m)
             if m <= self.eps_log:
                 t_lo, t_hi = t_prev, float(tval)
@@ -457,6 +471,84 @@ class OriClosedForm:
         )
 
 
+class LatticeTables:
+    """The closed form gathered from 1D tables on the characteristic lattice
+    with nodes vtheta = lo + j step (0 <= j < nodes) and levels t = m step
+    (0 <= m <= levels).
+
+    The psi-form log argument splits as A(xi) + B(eta), xi = vtheta + t,
+    eta = vtheta - t, with A = e^{-phi3/2}/2 - F/2, B = e^{-phi3/2}/2 + F/2
+    and F(s) = cumulative(s/2).  The partials need Q = q30 e^{-phi3/2} at xi
+    and P = p30 e^{-phi3/2} at eta.  All four are sampled once on the grid
+    lo + k step by the pointwise methods, so periodic winding and the
+    line-window extension carry over unchanged.  A and Q cover the xi-range
+    of the lattice, B and P its eta-range, each with a margin of
+    ``_MARGIN`` steps for the rectangle corners one node outside.
+
+    A lattice point is named by its level and node in units of the step
+    (t = level step, vtheta = lo + node step).  Both may be half-integers
+    when their sum is an integer, as at the rectangle leg midpoints; the
+    point then has xi-index node + level and eta-index node - level, and
+    ``count`` consecutive nodes read contiguous table slices.
+    """
+
+    _MARGIN = 2
+    _CHUNK = 1024
+
+    def __init__(self, cf: OriClosedForm, lo: float, step: float, nodes: int, levels: int):
+        pad = self._MARGIN
+        self._eta_origin = levels + pad
+        self._a, self._q = self._sample(cf, lo, step, -pad, nodes + levels + pad, -1.0, cf.q30_bar)
+        self._b, self._p = self._sample(cf, lo, step, -levels - pad, nodes + pad, 1.0, cf.p30_bar)
+        self.coupling_constant = cf.a
+        self.eps_log = cf.eps_log
+
+    def _sample(self, cf, lo, step, first, last, sign, trace):
+        """e^{-phi3/2}/2 + sign F/2 and trace e^{-phi3/2} on lo + k step,
+        first <= k <= last, evaluated in chunks: ``cumulative`` makes about a
+        dozen temporaries of its argument's size, so this bounds the peak
+        memory of a build."""
+        size = last - first + 1
+        half, weighted = np.empty(size), np.empty(size)
+        for start in range(0, size, self._CHUNK):
+            k = np.arange(first + start, first + min(size, start + self._CHUNK))
+            x = lo + step * k
+            w = np.exp(-0.5 * cf.phi3_bar(x))
+            part = slice(start, start + len(x))
+            half[part] = 0.5 * w + sign * 0.5 * cf.cumulative(0.5 * x, "psi")
+            weighted[part] = trace(x) * w
+        return half, weighted
+
+    def _slices(self, level, node, count):
+        i = self._MARGIN + int(round(node + level))
+        k = self._eta_origin + int(round(node - level))
+        if min(i, k) < 0 or i + count > len(self._a) or k + count > len(self._b):
+            raise IndexError(f"lattice point (level {level}, node {node}) outside the tables")
+        return slice(i, i + count), slice(k, k + count)
+
+    def log_argument(self, level, node, count):
+        xi, eta = self._slices(level, node, count)
+        return self._a[xi] + self._b[eta]
+
+    def u3(self, level, node, count):
+        return _u3_of_argument(self.log_argument(level, node, count), self.eps_log)
+
+    def u3_xi(self, level, node, count):
+        xi, _ = self._slices(level, node, count)
+        return self._q[xi] / self.log_argument(level, node, count)
+
+    def u3_eta(self, level, node, count):
+        _, eta = self._slices(level, node, count)
+        return self._p[eta] / self.log_argument(level, node, count)
+
+    def coupling(self, level, node, count):
+        if self.coupling_constant is None:
+            raise ConfigError("coupling constant not set on this closed form")
+        xi, eta = self._slices(level, node, count)
+        d = self.log_argument(level, node, count)
+        return self.coupling_constant * self._q[xi] * self._p[eta] / (d * d)
+
+
 # ---------------------------------------------------------------------------
 # staged solves on the characteristic lattice
 # ---------------------------------------------------------------------------
@@ -478,32 +570,29 @@ class TimeField:
     q: np.ndarray
 
 
-def _initial_slices(data: StringInitialData, cmap: CoordinateMap, grid: LightconeGrid, comps):
-    theta_star = np.asarray(cmap.theta0_inverse(grid.vtheta), dtype=float)
-    if not data.domain.periodic:
-        theta_star = np.clip(theta_star, data.theta[0], data.theta[-1])
-    u0 = data.phi_at(theta_star)[:, comps]
-    p0 = data.p0_at(theta_star)[:, comps]
-    q0 = data.q0_at(theta_star)[:, comps]
-    return u0, p0, q0
+def _grid_tables(cf: OriClosedForm, grid: LightconeGrid) -> LatticeTables:
+    return LatticeTables(cf, float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels)
 
 
-def _check_domain_finite(cf: OriClosedForm, grid: LightconeGrid):
-    t = grid.t_nodes
-    args = cf.log_argument(t[:, None], grid.vtheta[None, :])
+def _targets(grid: LightconeGrid, level: int):
+    """First node and count of the nodes that level + 1 computes, and their
+    slice."""
     if grid.periodic:
-        bad = args <= cf.eps_log
+        j0, count = 0, len(grid.vtheta)
     else:
-        bad = np.zeros_like(args, dtype=bool)
-        for m in range(len(t)):
-            lo, hi = grid.valid_bounds(m)
-            bad[m, lo:hi] = args[m, lo:hi] <= cf.eps_log
-    if np.any(bad):
-        m = int(np.argmax(np.any(bad, axis=1)))
-        raise DomainTruncationError(
-            f"closed-form z-component blows up inside the requested domain "
-            f"at t={t[m]:.6g}; truncate t_max or change the data"
-        )
+        lo, hi = grid.valid_bounds(level)
+        j0, count = lo + 1, hi - lo - 2
+    return j0, count, slice(j0, j0 + count)
+
+
+def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid):
+    for m, t in enumerate(grid.t_nodes):
+        lo, hi = grid.valid_bounds(m)
+        if np.any(tables.log_argument(m, lo, hi - lo) <= tables.eps_log):
+            raise DomainTruncationError(
+                f"closed-form z-component blows up inside the requested domain "
+                f"at t={t:.6g}; truncate t_max or change the data"
+            )
 
 
 def solve_plane_components(
@@ -514,7 +603,8 @@ def solve_plane_components(
 ) -> PlaneFields:
     """March the two transverse components, which are linear once the
     closed-form z-component supplies the coupling coefficient."""
-    _check_domain_finite(cf, grid)
+    tables = _grid_tables(cf, grid)
+    _check_domain_finite(tables, grid)
     n = len(grid.vtheta)
     levels = grid.n_levels
     h = grid.step
@@ -522,28 +612,23 @@ def solve_plane_components(
     u = np.full((levels + 1, n, 2), np.nan)
     p = np.full_like(u, np.nan)
     q = np.full_like(u, np.nan)
-    u[0], p[0], q[0] = _initial_slices(data, cmap, grid, [1, 2])
-    vth = grid.vtheta
+    u[0], p[0], q[0] = (f[:, 1:3] for f in initial_lightcone_data(data, cmap, grid))
     for m in range(levels):
-        t0 = m * h
+        j0, count, sl = _targets(grid, m)
         if grid.periodic:
             ua, pa, qa = (np.roll(a[m], 1, axis=0) for a in (u, p, q))
             ub, pb, qb = (np.roll(a[m], -1, axis=0) for a in (u, p, q))
-            vt = vth
-            sl = slice(None)
         else:
             lo, hi = grid.valid_bounds(m)
             ua, pa, qa = u[m, lo : hi - 2], p[m, lo : hi - 2], q[m, lo : hi - 2]
             ub, pb, qb = u[m, lo + 2 : hi], p[m, lo + 2 : hi], q[m, lo + 2 : hi]
-            vt = vth[lo + 1 : hi - 1]
-            sl = slice(lo + 1, hi - 1)
-        ca = cf.coupling(t0, vt - h)[:, None] * signs
-        cb = cf.coupling(t0, vt + h)[:, None] * signs
+        ca = tables.coupling(m, j0 - 1, count)[:, None] * signs
+        cb = tables.coupling(m, j0 + 1, count)[:, None] * signs
         p_star = pa + h * ca * ua
         q_star = qb + h * cb * ub
         u_star = 0.5 * (ua + ub) + 0.25 * h * (qa + q_star + pb + p_star)
-        cma = cf.coupling(t0 + 0.5 * h, vt - 0.5 * h)[:, None] * signs
-        cmb = cf.coupling(t0 + 0.5 * h, vt + 0.5 * h)[:, None] * signs
+        cma = tables.coupling(m + 0.5, j0 - 0.5, count)[:, None] * signs
+        cmb = tables.coupling(m + 0.5, j0 + 0.5, count)[:, None] * signs
         p_new = pa + h * cma * 0.5 * (ua + u_star)
         q_new = qb + h * cmb * 0.5 * (ub + u_star)
         u_new = 0.5 * (ua + ub) + 0.25 * h * (qa + q_new + pb + p_new)
@@ -563,15 +648,14 @@ def solve_time_component(
     if cf.a is None:
         raise ConfigError("staged time solve needs the coupling constant")
     a = cf.a
+    tables = _grid_tables(cf, grid)
     n = len(grid.vtheta)
     levels = grid.n_levels
     h = grid.step
     u = np.full((levels + 1, n), np.nan)
     p = np.full_like(u, np.nan)
     q = np.full_like(u, np.nan)
-    u0, p0, q0 = _initial_slices(data, cmap, grid, [0])
-    u[0], p[0], q[0] = u0[:, 0], p0[:, 0], q0[:, 0]
-    vth = grid.vtheta
+    u[0], p[0], q[0] = (f[:, 0] for f in initial_lightcone_data(data, cmap, grid))
 
     def rhs(u0v, p0v, q0v, p3, q3, u1, u2, pp1, qq1, pp2, qq2):
         return (
@@ -582,7 +666,7 @@ def solve_time_component(
         )
 
     for m in range(levels):
-        t0 = m * h
+        j0, count, sl = _targets(grid, m)
         if grid.periodic:
             roll = lambda arr, k: np.roll(arr, k, axis=0)
             ua, pa, qa = roll(u[m], 1), roll(p[m], 1), roll(q[m], 1)
@@ -590,8 +674,6 @@ def solve_time_component(
             plA = {k: roll(getattr(plane, k)[m], 1) for k in ("u", "p", "q")}
             plB = {k: roll(getattr(plane, k)[m], -1) for k in ("u", "p", "q")}
             plX = {k: getattr(plane, k)[m + 1] for k in ("u", "p", "q")}
-            vt = vth
-            sl = slice(None)
         else:
             lo, hi = grid.valid_bounds(m)
             s_a, s_b, s_x = slice(lo, hi - 2), slice(lo + 2, hi), slice(lo + 1, hi - 1)
@@ -600,10 +682,8 @@ def solve_time_component(
             plA = {k: getattr(plane, k)[m, s_a] for k in ("u", "p", "q")}
             plB = {k: getattr(plane, k)[m, s_b] for k in ("u", "p", "q")}
             plX = {k: getattr(plane, k)[m + 1, s_x] for k in ("u", "p", "q")}
-            vt = vth[s_x]
-            sl = s_x
-        p3a, q3a = cf.u3_eta(t0, vt - h), cf.u3_xi(t0, vt - h)
-        p3b, q3b = cf.u3_eta(t0, vt + h), cf.u3_xi(t0, vt + h)
+        p3a, q3a = tables.u3_eta(m, j0 - 1, count), tables.u3_xi(m, j0 - 1, count)
+        p3b, q3b = tables.u3_eta(m, j0 + 1, count), tables.u3_xi(m, j0 + 1, count)
         # predictor with corner values
         p_star = pa + h * rhs(
             ua, pa, qa, p3a, q3a,
@@ -619,9 +699,9 @@ def solve_time_component(
         )
         u_star = 0.5 * (ua + ub) + 0.25 * h * (qa + q_star + pb + p_star)
         # corrector with midpoint values; plane fields averaged along each leg
-        tm = t0 + 0.5 * h
-        p3ma, q3ma = cf.u3_eta(tm, vt - 0.5 * h), cf.u3_xi(tm, vt - 0.5 * h)
-        p3mb, q3mb = cf.u3_eta(tm, vt + 0.5 * h), cf.u3_xi(tm, vt + 0.5 * h)
+        mid = m + 0.5
+        p3ma, q3ma = tables.u3_eta(mid, j0 - 0.5, count), tables.u3_xi(mid, j0 - 0.5, count)
+        p3mb, q3mb = tables.u3_eta(mid, j0 + 0.5, count), tables.u3_xi(mid, j0 + 0.5, count)
         mid_a = {k: 0.5 * (plA[k] + plX[k]) for k in ("u", "p", "q")}
         mid_b = {k: 0.5 * (plB[k] + plX[k]) for k in ("u", "p", "q")}
         p_new = pa + h * rhs(
@@ -657,12 +737,8 @@ def staged_solution(
     out = np.full((levels + 1, len(grid.vtheta), 4), np.nan)
     out[:, :, 0] = time.u
     out[:, :, 1:3] = plane.u
-    t = grid.t_nodes
-    u3 = cf.u3(t[:, None], grid.vtheta[None, :])
-    if grid.periodic:
-        out[:, :, 3] = u3
-    else:
-        for m in range(levels + 1):
-            lo, hi = grid.valid_bounds(m)
-            out[m, lo:hi, 3] = u3[m, lo:hi]
+    tables = _grid_tables(cf, grid)
+    for m in range(levels + 1):
+        lo, hi = grid.valid_bounds(m)
+        out[m, lo:hi, 3] = tables.u3(m, lo, hi - lo)
     return out

@@ -106,7 +106,7 @@ def offset_circle_ori_data(nodes=256, a=1.0, radius=0.3, y_offset=2.5, z_vel=-0.
 
 def blowup_line_data(nodes=801, a=0.01, z_vel=0.5, window=(-10.0, 10.0)):
     """Straight string along x with forward z-velocity; the straightened
-    velocity profile is the constant z_vel, so blow-up at t* = 4/z_vel."""
+    velocity profile is the constant z_vel, so blow-up at t* = 2/z_vel."""
     model = OriQuadratic(a)
     th = np.linspace(window[0], window[1], nodes)
     n = len(th)

@@ -10,7 +10,9 @@ from conftest import (
 )
 from stringsheet import (
     DomainTruncationError,
+    LightconeGrid,
     OriClosedForm,
+    WindowError,
     build_grid,
     build_theta0,
     solve,
@@ -18,6 +20,7 @@ from stringsheet import (
     solve_time_component,
     staged_solution,
 )
+from stringsheet.ori import LatticeTables
 
 
 def fourier_profiles(rng, n_modes=3, amp=0.25):
@@ -135,6 +138,60 @@ def test_blowup_marker_and_mask():
 
 
 # ---------------------------------------------------------------------------
+# lattice tables
+# ---------------------------------------------------------------------------
+
+
+def assert_tables_match_pointwise(cf, lo, step, nodes, levels):
+    """Every lattice point and leg midpoint, one node past each end of the
+    row, against the pointwise closed form."""
+    tables = LatticeTables(cf, lo, step, nodes, levels)
+    for level in np.arange(0.0, levels + 0.5, 0.5):
+        whole = level == int(level)
+        first, count = (-1.0, nodes + 2) if whole else (-0.5, nodes + 1)
+        t = level * step
+        vth = lo + step * (first + np.arange(count))
+        got = tables.log_argument(level, first, count)
+        assert np.max(np.abs(got - cf.log_argument(t, vth))) <= 1e-14, level
+        for name in ("u3_xi", "u3_eta", "coupling"):
+            got = getattr(tables, name)(level, first, count)
+            expect = getattr(cf, name)(t, vth)
+            assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-13, (name, level)
+
+
+def test_lattice_tables_match_pointwise_over_several_periods():
+    # levels reach t = 3 periods, so xi and eta wind three times each way
+    cf = OriClosedForm.from_profiles(
+        lambda s: 0.1 * np.sin(s), lambda s: -0.5 + 0.1 * np.cos(s), (0.0, 2 * np.pi),
+        periodic=True, nodes=257, coupling_constant=0.7,
+    )
+    assert_tables_match_pointwise(cf, 0.0, 2 * np.pi / 64, 64, 192)
+
+
+def test_lattice_tables_match_pointwise_past_the_line_window():
+    # xi and eta run 4 past both window edges, where the profiles are
+    # clipped and the cumulative integral extends linearly
+    cf = OriClosedForm.from_profiles(
+        lambda s: 0.1 * np.sin(s), lambda s: -0.5 + 0.1 * np.cos(s), (-5.0, 5.0),
+        nodes=401, coupling_constant=0.7,
+    )
+    assert_tables_match_pointwise(cf, -5.0, 0.05, 201, 80)
+
+
+def test_lattice_tables_reject_points_outside():
+    cf = OriClosedForm.from_profiles(
+        lambda s: np.zeros_like(s), lambda s: np.full_like(s, -0.5), (0.0, 2 * np.pi),
+        periodic=True, nodes=64,
+    )
+    tables = LatticeTables(cf, 0.0, 0.1, 10, 5)
+    assert np.all(np.isfinite(tables.log_argument(7, 0, 10)))
+    assert np.all(np.isfinite(tables.log_argument(0, 3, 10)))
+    for level, node in ((8, 0), (0, 4), (-8, 0)):
+        with pytest.raises(IndexError):
+            tables.log_argument(level, node, 10)
+
+
+# ---------------------------------------------------------------------------
 # existence criterion
 # ---------------------------------------------------------------------------
 
@@ -147,6 +204,106 @@ def test_existence_analytic_blowup_time():
     report = cf.existence_check(6.0, step=0.05, window=(-5.0, 5.0))
     assert not report.passed
     assert report.t_star == pytest.approx(4.0, abs=1e-4)
+
+
+def brute_force_scan(cf, t_max, step, window, bisect_tol=1e-6):
+    """The existence scan with every lattice level evaluated pointwise."""
+    lo, hi = window
+    if cf.periodic:
+        n = int(np.ceil((hi - lo) / step - 1e-9))
+    else:
+        n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    nodes = lo + step * np.arange(n)
+    levels = int(np.floor(t_max / step)) + 1
+    t_nodes = np.minimum(step * np.arange(levels + 1), t_max)
+
+    def min_arg(t):
+        return float(np.min(cf.log_argument(np.full_like(nodes, t), nodes)))
+
+    margin, t_prev = np.inf, 0.0
+    for t in t_nodes:
+        m = min_arg(t)
+        margin = min(margin, m)
+        if m <= cf.eps_log:
+            t_lo, t_hi = t_prev, float(t)
+            while t_hi - t_lo > bisect_tol:
+                mid = 0.5 * (t_lo + t_hi)
+                if min_arg(mid) <= cf.eps_log:
+                    t_hi = mid
+                else:
+                    t_lo = mid
+            args = cf.log_argument(np.full_like(nodes, t_hi), nodes)
+            return dict(
+                passed=False,
+                margin=margin,
+                t_star=0.5 * (t_lo + t_hi),
+                vtheta_star=float(nodes[int(np.argmin(args))]),
+            )
+        t_prev = float(t)
+    return dict(passed=True, margin=margin, t_star=None, vtheta_star=None)
+
+
+def _periodic_form(psi3):
+    return OriClosedForm.from_profiles(
+        lambda s: 0.2 * np.sin(s), psi3, (0.0, 2 * np.pi), periodic=True, nodes=257
+    )
+
+
+def _line_form():
+    model, data = blowup_line_data()
+    return OriClosedForm.from_initial_data(data, build_theta0(data), coupling_constant=model.a)
+
+
+def _constant_velocity_form():
+    return OriClosedForm.from_profiles(
+        lambda s: np.zeros_like(s), lambda s: np.full_like(s, 0.5), (-40.0, 40.0),
+        nodes=4097,
+    )
+
+
+# label: (closed form, t_max, explicit step, explicit window)
+SCAN_CASES = {
+    "periodic blow-up": lambda: (_periodic_form(lambda s: 0.6 + 0.3 * np.cos(s)), 8.0, None, None),
+    "periodic, many periods": lambda: (
+        _periodic_form(lambda s: -0.2 - 0.1 * np.cos(s)), 25.0, None, None
+    ),
+    "line blow-up": lambda: (_line_form(), 6.0, None, None),
+    "explicit step and window": lambda: (_constant_velocity_form(), 6.0, 0.05, (-5.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("label", list(SCAN_CASES))
+def test_existence_check_matches_pointwise_scan(label):
+    cf, t_max, step, window = SCAN_CASES[label]()
+    report = cf.existence_check(t_max, step=step, window=window)
+    lo, hi = window or cf.scan_window()
+    if step is None:
+        n = len(cf.vtheta_nodes)
+        step = cf.period / n if cf.periodic else (hi - lo) / (n - 1)
+    expect = brute_force_scan(cf, t_max, step, (lo, hi))
+    assert report.passed == expect["passed"]
+    assert abs(report.margin_min - expect["margin"]) <= 1e-14
+    assert report.vtheta_star == expect["vtheta_star"]
+    if not expect["passed"]:
+        assert abs(report.t_star - expect["t_star"]) <= 1e-6
+
+
+def test_periodic_scan_nodes_stop_short_of_the_period():
+    # 2 pi / 197 is a step for which np.arange(0, 2 pi, step) returns 198
+    # values, the last one being vtheta = 2 pi, the first node again
+    cf = OriClosedForm.from_profiles(
+        lambda s: 0.3 * np.sin(s), lambda s: -0.2 - 0.1 * np.cos(s), (0.0, 2 * np.pi),
+        periodic=True, nodes=197,
+    )
+    seen = []
+
+    def recording(t, vtheta, form="psi"):
+        seen.append(np.asarray(vtheta))
+        return OriClosedForm.log_argument(cf, t, vtheta, form)
+
+    cf.log_argument = recording
+    assert cf.existence_check(2.0).passed
+    assert seen and all(len(v) == 197 and v[-1] < 2 * np.pi - 1e-9 for v in seen)
 
 
 def test_existence_pass_for_nonpositive_velocity():
@@ -316,3 +473,21 @@ def test_time_component_free_wave_limit():
     time_f = solve_time_component(cf, data, cmap, grid, plane)
     sol = solve(model, data, cmap, grid)
     assert np.nanmax(np.abs(time_f.u - sol.u[:, :, 0])) < 1e-6
+
+
+def test_staged_solve_rejects_lattice_past_the_data_window():
+    # a hand-built line lattice reaching 10 steps past each end of the
+    # straightened window: its initial line maps outside the sampled data
+    model, data = blowup_line_data(nodes=401)
+    cmap = build_theta0(data)
+    step = 0.05
+    lo, hi = cmap.vtheta_nodes[0] - 10 * step, cmap.vtheta_nodes[-1] + 10 * step
+    vtheta = lo + step * np.arange(int(np.floor((hi - lo) / step)) + 1)
+    grid = LightconeGrid(
+        step=step, t_max=1.0, vtheta=vtheta, periodic=False, period=None, n_levels=20
+    )
+    cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
+    with pytest.raises(WindowError):
+        solve(model, data, cmap, grid)
+    with pytest.raises(WindowError):
+        staged_solution(cf, data, cmap, grid)
