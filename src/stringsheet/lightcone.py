@@ -5,13 +5,16 @@ speed, so a square lattice with dt = dvtheta = h aligns exactly with the
 characteristics.  The one-form fields advance along their own families with
 a second-order predictor-corrector on each characteristic rectangle; the
 position field is recovered by trapezoid integration along both legs.
+``advance_diagonal`` is that one rectangle step and ``march`` the one level
+loop; the general solve and the staged solves of ``ori`` differ only in the
+right-hand side they pass.
 
 There is no CFL restriction and no transport error: with a flat ambient
 metric the one-form values are bitwise constant along their characteristics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +31,9 @@ __all__ = [
     "BlowUpReport",
     "LightconeSolution",
     "initial_lightcone_data",
+    "corners",
     "advance_diagonal",
+    "march",
     "relative_null_residuals",
     "solve",
 ]
@@ -123,8 +128,6 @@ class LightconeSolution:
     deriv_res: np.ndarray
     blowup: Optional[BlowUpReport] = None
     levels_computed: int = 0
-    theta: Optional[np.ndarray] = None  # optional (levels+1, nodes) mapping
-    meta: dict = field(default_factory=dict)
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -163,16 +166,22 @@ def initial_lightcone_data(
     return u0, p0, q0
 
 
+def corners(a: np.ndarray, periodic: bool):
+    """Values of one diagonal at corners A (one node left) and B (one node
+    right) of each node of the next diagonal: rolled on a ring, sliced on a
+    line, where the next diagonal is two nodes shorter."""
+    if periodic:
+        return np.roll(a, 1, axis=0), np.roll(a, -1, axis=0)
+    return a[:-2], a[2:]
+
+
 def advance_diagonal(
-    model: MetricModel,
+    rhs: Callable,
     u: np.ndarray,
     p: np.ndarray,
     q: np.ndarray,
     step: float,
     periodic: bool,
-    source: Optional[Callable] = None,
-    t_level: float = 0.0,
-    vtheta: Optional[np.ndarray] = None,
 ):
     """One characteristic-rectangle step for every target node of the next
     diagonal.
@@ -180,48 +189,67 @@ def advance_diagonal(
     Target node X at (t+h, s) takes its p-value along the rectangle leg from
     A = (t, s-h) and its q-value from B = (t, s+h); u is recovered from the
     trapezoid rule along both legs, averaged.  The corrector re-evaluates
-    the connection contraction at the leg midpoints once.
+    the right-hand side at the leg midpoints once.
 
-    For line domains the returned arrays are two nodes shorter; ``vtheta``
-    must then hold the coordinates of the *source* diagonal.
+    ``rhs(where, u, p, q)`` is the right-hand side shared by the p- and
+    q-equations at the point ``where``, named in (levels, nodes) steps from
+    the source node below X: (0, -1) and (0, 1) for the corners A and B,
+    (1/2, -1/2) and (1/2, 1/2) for the leg midpoints.  For line domains the
+    returned arrays are two nodes shorter.
     """
-    if periodic:
-        ua, pa, qa = (np.roll(a, 1, axis=0) for a in (u, p, q))
-        ub, pb, qb = (np.roll(a, -1, axis=0) for a in (u, p, q))
-        vt_target = vtheta
-    else:
-        ua, pa, qa = u[:-2], p[:-2], q[:-2]
-        ub, pb, qb = u[2:], p[2:], q[2:]
-        vt_target = None if vtheta is None else vtheta[1:-1]
-
-    if source is not None and vt_target is None:
-        raise ValueError("source terms require vtheta coordinates")
-
-    def rhs(uu, pp, qq, t_eval, vth_eval):
-        out = -model.contract_pq(uu, pp, qq)
-        if source is not None:
-            out = out + source(t_eval, vth_eval)
-        return out
-
+    (ua, ub), (pa, pb), (qa, qb) = (corners(a, periodic) for a in (u, p, q))
     h = step
-    sa = None if vt_target is None else vt_target - h
-    sb = None if vt_target is None else vt_target + h
     # predictor: corner evaluations
-    p_star = pa + h * rhs(ua, pa, qa, t_level, sa)
-    q_star = qb + h * rhs(ub, pb, qb, t_level, sb)
+    p_star = pa + h * rhs((0.0, -1.0), ua, pa, qa)
+    q_star = qb + h * rhs((0.0, 1.0), ub, pb, qb)
     u_star = 0.5 * (ua + ub) + 0.25 * h * (qa + q_star + pb + p_star)
     # corrector: midpoint evaluations on each leg
-    tm = t_level + 0.5 * h
-    sma = None if vt_target is None else vt_target - 0.5 * h
-    smb = None if vt_target is None else vt_target + 0.5 * h
     p_new = pa + h * rhs(
-        0.5 * (ua + u_star), 0.5 * (pa + p_star), 0.5 * (qa + q_star), tm, sma
+        (0.5, -0.5), 0.5 * (ua + u_star), 0.5 * (pa + p_star), 0.5 * (qa + q_star)
     )
     q_new = qb + h * rhs(
-        0.5 * (ub + u_star), 0.5 * (pb + p_star), 0.5 * (qb + q_star), tm, smb
+        (0.5, 0.5), 0.5 * (ub + u_star), 0.5 * (pb + p_star), 0.5 * (qb + q_star)
     )
     u_new = 0.5 * (ua + ub) + 0.25 * h * (qa + q_new + pb + p_new)
     return u_new, p_new, q_new
+
+
+def march(
+    grid: LightconeGrid,
+    init,
+    rhs_at: Callable,
+    level_done: Optional[Callable] = None,
+):
+    """Fill the lattice level by level from the initial diagonal
+    ``init = (u0, p0, q0)``.
+
+    ``rhs_at(m)`` gives the right-hand side of the step from level m to
+    m + 1 (see ``advance_diagonal``).  ``level_done(m, u, p, q)`` sees the
+    valid nodes of each finished level, the initial one included; returning
+    True stops the march after that level.  Returns (u, p, q,
+    levels_computed), NaN outside the valid triangle.
+    """
+    u0, p0, q0 = init
+    u = np.full((grid.n_levels + 1,) + np.shape(u0), np.nan)
+    p = np.full_like(u, np.nan)
+    q = np.full_like(u, np.nan)
+    u[0], p[0], q[0] = u0, p0, q0
+
+    def stop(m):
+        if level_done is None:
+            return False
+        lo, hi = grid.valid_bounds(m)
+        return level_done(m, u[m, lo:hi], p[m, lo:hi], q[m, lo:hi])
+
+    m = 0
+    while not stop(m) and m < grid.n_levels:
+        lo, hi = grid.valid_bounds(m)
+        nlo, nhi = grid.valid_bounds(m + 1)
+        u[m + 1, nlo:nhi], p[m + 1, nlo:nhi], q[m + 1, nlo:nhi] = advance_diagonal(
+            rhs_at(m), u[m, lo:hi], p[m, lo:hi], q[m, lo:hi], grid.step, grid.periodic
+        )
+        m += 1
+    return u, p, q, m
 
 
 def relative_null_residuals(model: MetricModel, u, p, q):
@@ -238,16 +266,14 @@ def relative_null_residuals(model: MetricModel, u, p, q):
 def _deriv_consistency(u, p, q, step, periodic):
     """Max relative mismatch between (q - p)/2 and the centered d/dvtheta of
     u along one diagonal."""
+    if not periodic and u.shape[0] < 3:
+        return 0.0
     target = 0.5 * (q - p)
-    if periodic:
-        du = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * step)
-        diff = du - target
-    else:
-        if u.shape[0] < 3:
-            return 0.0
-        du = (u[2:] - u[:-2]) / (2.0 * step)
-        diff = du - target[1:-1]
     scale = max(1.0, float(np.max(np.abs(target))))
+    left, right = corners(u, periodic)
+    if not periodic:
+        target = target[1:-1]
+    diff = (right - left) / (2.0 * step) - target
     return float(np.max(np.abs(diff))) / scale
 
 
@@ -257,8 +283,6 @@ def solve(
     cmap: CoordinateMap,
     grid: LightconeGrid,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    source: Optional[Callable] = None,
-    monitor: bool = True,
 ) -> LightconeSolution:
     """March the full lattice level by level, monitoring the null residuals
     and the one-form/derivative consistency on every diagonal.
@@ -268,23 +292,18 @@ def solve(
     consistency breach alone keeps marching: if values later overflow it was
     blow-up; if the run completes bounded it raises a consistency error.
     """
-    n = len(grid.vtheta)
-    dim = data.dim
     levels = grid.n_levels
-    u = np.full((levels + 1, n, dim), np.nan)
-    p = np.full_like(u, np.nan)
-    q = np.full_like(u, np.nan)
     null_p = np.zeros(levels + 1)
     null_q = np.zeros(levels + 1)
     deriv = np.zeros(levels + 1)
-    u[0], p[0], q[0] = initial_lightcone_data(data, cmap, grid)
-    blowup = None
-    computed = 0
+    reports: list = []
     pending: list = []
 
-    def inspect(level):
-        lo, hi = grid.valid_bounds(level)
-        uu, pp, qq = u[level, lo:hi], p[level, lo:hi], q[level, lo:hi]
+    def rhs(where, u, p, q):
+        return -model.contract_pq(u, p, q)
+
+    def inspect(level, uu, pp, qq):
+        lo, _ = grid.valid_bounds(level)
         t_here = level * grid.step
         bad = ~np.isfinite(uu) | (np.abs(uu) > thresholds.field_ceiling)
         bad_pq = (
@@ -308,8 +327,6 @@ def solve(
                 reason="field overflow",
                 value=float(val),
             )
-        if not monitor:
-            return None
         rp, rq = relative_null_residuals(model, uu, pp, qq)
         null_p[level] = float(np.max(rp))
         null_q[level] = float(np.max(rq))
@@ -331,42 +348,13 @@ def solve(
             pending.append((t_here, deriv[level]))
         return None
 
-    blowup = inspect(0)
-    for m in range(levels):
-        if blowup is not None:
-            break
-        lo, hi = grid.valid_bounds(m)
-        if grid.periodic:
-            un, pn, qn = advance_diagonal(
-                model,
-                u[m],
-                p[m],
-                q[m],
-                grid.step,
-                True,
-                source=source,
-                t_level=m * grid.step,
-                vtheta=grid.vtheta,
-            )
-            u[m + 1], p[m + 1], q[m + 1] = un, pn, qn
-        else:
-            un, pn, qn = advance_diagonal(
-                model,
-                u[m, lo:hi],
-                p[m, lo:hi],
-                q[m, lo:hi],
-                grid.step,
-                False,
-                source=source,
-                t_level=m * grid.step,
-                vtheta=grid.vtheta[lo:hi],
-            )
-            u[m + 1, lo + 1 : hi - 1] = un
-            p[m + 1, lo + 1 : hi - 1] = pn
-            q[m + 1, lo + 1 : hi - 1] = qn
-        computed = m + 1
-        blowup = inspect(m + 1)
+    def level_done(level, uu, pp, qq):
+        reports.append(inspect(level, uu, pp, qq))
+        return reports[-1] is not None
 
+    init = initial_lightcone_data(data, cmap, grid)
+    u, p, q, computed = march(grid, init, lambda m: rhs, level_done)
+    blowup = reports[-1]
     if blowup is None and pending:
         t_bad, value = pending[0]
         raise NumericalConsistencyError(

@@ -64,9 +64,6 @@ class MetricModel:
         """dg[..., c, a, b] = d g_ab / d u^c."""
         raise NotImplementedError
 
-    def evaluate(self, points):
-        return self.metric(points), self.christoffels(points)
-
     def contract_pq(self, u, p, q) -> np.ndarray:
         """Gamma^C_AB(u) p^A q^B, the source of the light-cone system."""
         gamma = self.christoffels(u)

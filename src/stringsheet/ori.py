@@ -7,8 +7,10 @@ profiles and a cumulative integral.  Global existence is equivalent to that
 argument staying positive, which gives a scannable criterion, a blow-up
 time, and a family of cheap sufficient conditions.  Once the z-component is
 known, the two transverse components satisfy linear equations and the time
-component a final linear equation, all marched on the same characteristic
-rectangles as the general solver.
+component a final linear equation.  The staged solves march them with the
+general solver's one rectangle kernel (``lightcone.march``); each passes a
+right-hand-side closure that gathers the closed form from ``LatticeTables``
+at the rectangle corners and leg midpoints.
 
 The straightened initial profiles are the single most error-prone input:
 the velocity profile at fixed vtheta differs from the original velocity
@@ -26,7 +28,7 @@ from scipy.interpolate import CubicSpline
 
 from .config import DEFAULT_THRESHOLDS
 from .errors import ConfigError, DomainTruncationError
-from .lightcone import LightconeGrid, initial_lightcone_data
+from .lightcone import LightconeGrid, corners, initial_lightcone_data, march
 from .transport import CoordinateMap
 from .worldsheet import StringInitialData
 
@@ -35,8 +37,7 @@ __all__ = [
     "LatticeTables",
     "ExistenceReport",
     "CorollaryFlags",
-    "PlaneFields",
-    "TimeField",
+    "StagedFields",
     "solve_plane_components",
     "solve_time_component",
     "staged_solution",
@@ -140,7 +141,6 @@ class OriClosedForm:
         period: Optional[float],
         coupling_constant: Optional[float] = None,
         eps_log: float = DEFAULT_THRESHOLDS.eps_log,
-        table_refine: int = 4,
     ):
         self.vtheta_nodes = np.asarray(vtheta_nodes, dtype=float)
         self.periodic = periodic
@@ -166,7 +166,7 @@ class OriClosedForm:
                 )
             )
         )
-        self._build_tables(table_refine)
+        self._build_tables()
 
     # -- construction --------------------------------------------------------
 
@@ -256,13 +256,13 @@ class OriClosedForm:
         prof = {"psi": self.psi3_bar, "p": self.p30_bar, "q": self.q30_bar}[which]
         return lambda s: prof(2.0 * s) * np.exp(-0.5 * self.phi3_bar(2.0 * s))
 
-    def _build_tables(self, refine):
+    def _build_tables(self):
         lo = self.vtheta_nodes[0] / 2.0
         if self.periodic:
             hi = (self.vtheta_nodes[0] + self.period) / 2.0
         else:
             hi = self.vtheta_nodes[-1] / 2.0
-        n = max(257, refine * len(self.vtheta_nodes) + 1)
+        n = max(257, 4 * len(self.vtheta_nodes) + 1)
         s_nodes = np.linspace(lo, hi, n)
         self._s_nodes = s_nodes
         self._s_period = hi - lo if self.periodic else None
@@ -555,34 +555,17 @@ class LatticeTables:
 
 
 @dataclass
-class PlaneFields:
-    """Transverse components (x, y) and their one-forms on the lattice."""
+class StagedFields:
+    """Staged components and their one-forms on the lattice: (levels+1,
+    nodes, 2) for the transverse pair, (levels+1, nodes) for time."""
 
-    u: np.ndarray  # (levels+1, nodes, 2)
-    p: np.ndarray
-    q: np.ndarray
-
-
-@dataclass
-class TimeField:
-    u: np.ndarray  # (levels+1, nodes)
+    u: np.ndarray
     p: np.ndarray
     q: np.ndarray
 
 
 def _grid_tables(cf: OriClosedForm, grid: LightconeGrid) -> LatticeTables:
     return LatticeTables(cf, float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels)
-
-
-def _targets(grid: LightconeGrid, level: int):
-    """First node and count of the nodes that level + 1 computes, and their
-    slice."""
-    if grid.periodic:
-        j0, count = 0, len(grid.vtheta)
-    else:
-        lo, hi = grid.valid_bounds(level)
-        j0, count = lo + 1, hi - lo - 2
-    return j0, count, slice(j0, j0 + count)
 
 
 def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid):
@@ -600,40 +583,27 @@ def solve_plane_components(
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
-) -> PlaneFields:
+) -> StagedFields:
     """March the two transverse components, which are linear once the
-    closed-form z-component supplies the coupling coefficient."""
+    closed-form z-component supplies the coupling coefficient c: the
+    right-hand side is (c u_x, -c u_y), with c gathered from the lattice
+    tables at each corner and leg midpoint."""
     tables = _grid_tables(cf, grid)
     _check_domain_finite(tables, grid)
-    n = len(grid.vtheta)
-    levels = grid.n_levels
-    h = grid.step
     signs = np.array([1.0, -1.0])  # +c u for x, -c u for y
-    u = np.full((levels + 1, n, 2), np.nan)
-    p = np.full_like(u, np.nan)
-    q = np.full_like(u, np.nan)
-    u[0], p[0], q[0] = (f[:, 1:3] for f in initial_lightcone_data(data, cmap, grid))
-    for m in range(levels):
-        j0, count, sl = _targets(grid, m)
-        if grid.periodic:
-            ua, pa, qa = (np.roll(a[m], 1, axis=0) for a in (u, p, q))
-            ub, pb, qb = (np.roll(a[m], -1, axis=0) for a in (u, p, q))
-        else:
-            lo, hi = grid.valid_bounds(m)
-            ua, pa, qa = u[m, lo : hi - 2], p[m, lo : hi - 2], q[m, lo : hi - 2]
-            ub, pb, qb = u[m, lo + 2 : hi], p[m, lo + 2 : hi], q[m, lo + 2 : hi]
-        ca = tables.coupling(m, j0 - 1, count)[:, None] * signs
-        cb = tables.coupling(m, j0 + 1, count)[:, None] * signs
-        p_star = pa + h * ca * ua
-        q_star = qb + h * cb * ub
-        u_star = 0.5 * (ua + ub) + 0.25 * h * (qa + q_star + pb + p_star)
-        cma = tables.coupling(m + 0.5, j0 - 0.5, count)[:, None] * signs
-        cmb = tables.coupling(m + 0.5, j0 + 0.5, count)[:, None] * signs
-        p_new = pa + h * cma * 0.5 * (ua + u_star)
-        q_new = qb + h * cmb * 0.5 * (ub + u_star)
-        u_new = 0.5 * (ua + ub) + 0.25 * h * (qa + q_new + pb + p_new)
-        u[m + 1, sl], p[m + 1, sl], q[m + 1, sl] = u_new, p_new, q_new
-    return PlaneFields(u=u, p=p, q=q)
+
+    def rhs_at(m):
+        lo, hi = grid.valid_bounds(m + 1)
+
+        def rhs(where, u, p, q):
+            c = tables.coupling(m + where[0], lo + where[1], hi - lo)
+            return c[:, None] * signs * u
+
+        return rhs
+
+    init = (f[:, 1:3] for f in initial_lightcone_data(data, cmap, grid))
+    u, p, q, _ = march(grid, init, rhs_at)
+    return StagedFields(u=u, p=p, q=q)
 
 
 def solve_time_component(
@@ -641,86 +611,44 @@ def solve_time_component(
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
-    plane: PlaneFields,
-) -> TimeField:
-    """March the time component; linear given the plane fields and the
-    closed-form z-derivatives."""
+    plane: StagedFields,
+) -> StagedFields:
+    """March the time component, which is linear given the plane fields and
+    the closed-form z-derivatives.  The right-hand side reads the plane
+    fields at the rectangle corners and averages them along each leg to the
+    target node for the midpoints."""
     if cf.a is None:
         raise ConfigError("staged time solve needs the coupling constant")
     a = cf.a
     tables = _grid_tables(cf, grid)
-    n = len(grid.vtheta)
-    levels = grid.n_levels
-    h = grid.step
-    u = np.full((levels + 1, n), np.nan)
-    p = np.full_like(u, np.nan)
-    q = np.full_like(u, np.nan)
-    u[0], p[0], q[0] = (f[:, 0] for f in initial_lightcone_data(data, cmap, grid))
 
-    def rhs(u0v, p0v, q0v, p3, q3, u1, u2, pp1, qq1, pp2, qq2):
-        return (
-            -0.5 * (p0v * q3 + p3 * q0v)
-            + a * u1 * (pp1 * q3 + p3 * qq1)
-            - a * u2 * (pp2 * q3 + p3 * qq2)
-            - 0.5 * (u0v - a * (u1 * u1 - u2 * u2)) * p3 * q3
-        )
+    def rhs_at(m):
+        lo, hi = grid.valid_bounds(m)
+        nlo, nhi = grid.valid_bounds(m + 1)
+        fields = (plane.u, plane.p, plane.q)
+        ends = [corners(f[m, lo:hi], grid.periodic) for f in fields]
+        target = [f[m + 1, nlo:nhi] for f in fields]
 
-    for m in range(levels):
-        j0, count, sl = _targets(grid, m)
-        if grid.periodic:
-            roll = lambda arr, k: np.roll(arr, k, axis=0)
-            ua, pa, qa = roll(u[m], 1), roll(p[m], 1), roll(q[m], 1)
-            ub, pb, qb = roll(u[m], -1), roll(p[m], -1), roll(q[m], -1)
-            plA = {k: roll(getattr(plane, k)[m], 1) for k in ("u", "p", "q")}
-            plB = {k: roll(getattr(plane, k)[m], -1) for k in ("u", "p", "q")}
-            plX = {k: getattr(plane, k)[m + 1] for k in ("u", "p", "q")}
-        else:
-            lo, hi = grid.valid_bounds(m)
-            s_a, s_b, s_x = slice(lo, hi - 2), slice(lo + 2, hi), slice(lo + 1, hi - 1)
-            ua, pa, qa = u[m, s_a], p[m, s_a], q[m, s_a]
-            ub, pb, qb = u[m, s_b], p[m, s_b], q[m, s_b]
-            plA = {k: getattr(plane, k)[m, s_a] for k in ("u", "p", "q")}
-            plB = {k: getattr(plane, k)[m, s_b] for k in ("u", "p", "q")}
-            plX = {k: getattr(plane, k)[m + 1, s_x] for k in ("u", "p", "q")}
-        p3a, q3a = tables.u3_eta(m, j0 - 1, count), tables.u3_xi(m, j0 - 1, count)
-        p3b, q3b = tables.u3_eta(m, j0 + 1, count), tables.u3_xi(m, j0 + 1, count)
-        # predictor with corner values
-        p_star = pa + h * rhs(
-            ua, pa, qa, p3a, q3a,
-            plA["u"][:, 0], plA["u"][:, 1],
-            plA["p"][:, 0], plA["q"][:, 0],
-            plA["p"][:, 1], plA["q"][:, 1],
-        )
-        q_star = qb + h * rhs(
-            ub, pb, qb, p3b, q3b,
-            plB["u"][:, 0], plB["u"][:, 1],
-            plB["p"][:, 0], plB["q"][:, 0],
-            plB["p"][:, 1], plB["q"][:, 1],
-        )
-        u_star = 0.5 * (ua + ub) + 0.25 * h * (qa + q_star + pb + p_star)
-        # corrector with midpoint values; plane fields averaged along each leg
-        mid = m + 0.5
-        p3ma, q3ma = tables.u3_eta(mid, j0 - 0.5, count), tables.u3_xi(mid, j0 - 0.5, count)
-        p3mb, q3mb = tables.u3_eta(mid, j0 + 0.5, count), tables.u3_xi(mid, j0 + 0.5, count)
-        mid_a = {k: 0.5 * (plA[k] + plX[k]) for k in ("u", "p", "q")}
-        mid_b = {k: 0.5 * (plB[k] + plX[k]) for k in ("u", "p", "q")}
-        p_new = pa + h * rhs(
-            0.5 * (ua + u_star), 0.5 * (pa + p_star), 0.5 * (qa + q_star),
-            p3ma, q3ma,
-            mid_a["u"][:, 0], mid_a["u"][:, 1],
-            mid_a["p"][:, 0], mid_a["q"][:, 0],
-            mid_a["p"][:, 1], mid_a["q"][:, 1],
-        )
-        q_new = qb + h * rhs(
-            0.5 * (ub + u_star), 0.5 * (pb + p_star), 0.5 * (qb + q_star),
-            p3mb, q3mb,
-            mid_b["u"][:, 0], mid_b["u"][:, 1],
-            mid_b["p"][:, 0], mid_b["q"][:, 0],
-            mid_b["p"][:, 1], mid_b["q"][:, 1],
-        )
-        u_new = 0.5 * (ua + ub) + 0.25 * h * (qa + q_new + pb + p_new)
-        u[m + 1, sl], p[m + 1, sl], q[m + 1, sl] = u_new, p_new, q_new
-    return TimeField(u=u, p=p, q=q)
+        def rhs(where, u0v, p0v, q0v):
+            level, node = m + where[0], nlo + where[1]
+            p3 = tables.u3_eta(level, node, nhi - nlo)
+            q3 = tables.u3_xi(level, node, nhi - nlo)
+            plane_here = [end[where[1] > 0] for end in ends]
+            if where[0]:  # leg midpoint: average the corner with the target
+                plane_here = [0.5 * (c + x) for c, x in zip(plane_here, target)]
+            (u1, u2), (pp1, pp2), (qq1, qq2) = (f.T for f in plane_here)
+            return (
+                -0.5 * (p0v * q3 + p3 * q0v)
+                + a * u1 * (pp1 * q3 + p3 * qq1)
+                - a * u2 * (pp2 * q3 + p3 * qq2)
+                - 0.5 * (u0v - a * (u1 * u1 - u2 * u2)) * p3 * q3
+            )
+
+        return rhs
+
+    init = (f[:, 0] for f in initial_lightcone_data(data, cmap, grid))
+    u, p, q, _ = march(grid, init, rhs_at)
+    return StagedFields(u=u, p=p, q=q)
 
 
 def staged_solution(

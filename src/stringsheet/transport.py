@@ -274,19 +274,16 @@ class WorldsheetMesh:
     theta: np.ndarray  # shape (levels, nodes)
 
 
-def build_inverse_map(
-    cmap: CoordinateMap,
-    t_nodes,
-    vtheta_nodes,
-    exactness_check: bool = True,
-    n_rectangles: int = 6,
-    seed: int = 20121,
-) -> WorldsheetMesh:
+_RECTANGLES = 6
+_RECTANGLE_SEED = 20121
+
+
+def build_inverse_map(cmap: CoordinateMap, t_nodes, vtheta_nodes) -> WorldsheetMesh:
     """March d theta = ((lam+ - lam-)/2) d vtheta + ((lam+ + lam-)/2) dt in t
     with the midpoint rule from theta(0, .) = theta0^{-1}.
 
     The differential is exact, so integrating vtheta-first and t-first
-    around random lattice rectangles must agree to 10 h^2; disagreement
+    around six seeded lattice rectangles must agree to 10 h^2; disagreement
     raises a consistency error.
     """
     t = np.asarray(t_nodes, dtype=float)
@@ -299,11 +296,11 @@ def build_inverse_map(
         drift = 0.5 * (cmap.lam_plus_bar(s + tm) + cmap.lam_minus_bar(s - tm))
         theta[m + 1] = theta[m] + dt * drift
     mesh = WorldsheetMesh(t_nodes=t, vtheta_nodes=s, theta=theta)
-    if exactness_check and len(t) > 2 and len(s) > 2:
+    if len(t) > 2 and len(s) > 2:
         step = float(t[1] - t[0])
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_RECTANGLE_SEED)
         worst = 0.0
-        for _ in range(n_rectangles):
+        for _ in range(_RECTANGLES):
             m = int(rng.integers(1, len(t)))
             ja, jb = sorted(rng.choice(len(s), size=2, replace=False))
             worst = max(worst, abs(rectangle_residual(cmap, t[m], s[ja], s[jb], step)))
@@ -315,42 +312,29 @@ def build_inverse_map(
     return mesh
 
 
-def _march_theta_in_t(cmap, s_fixed, t_lo, t_hi, step):
-    out = 0.0
-    t = t_lo
-    n = max(1, int(round((t_hi - t_lo) / step)))
-    dt = (t_hi - t_lo) / n
-    for _ in range(n):
-        tm = t + 0.5 * dt
-        out += dt * 0.5 * (
-            cmap.lam_plus_bar(s_fixed + tm) + cmap.lam_minus_bar(s_fixed - tm)
-        )
-        t += dt
-    return out
-
-
-def _march_theta_in_s(cmap, t_fixed, s_lo, s_hi, step):
-    out = 0.0
-    s = s_lo
-    n = max(1, int(round(abs(s_hi - s_lo) / step)))
-    ds = (s_hi - s_lo) / n
-    for _ in range(n):
-        sm = s + 0.5 * ds
-        out += ds * 0.5 * (
-            cmap.lam_plus_bar(sm + t_fixed) - cmap.lam_minus_bar(sm - t_fixed)
-        )
-        s += ds
-    return out
+def _midpoint_rule(f, lo, hi, step):
+    """Integral of f from lo to hi by the midpoint rule on the panel count
+    nearest |hi - lo| / step (at least one)."""
+    n = max(1, int(round(abs(hi - lo) / step)))
+    d = (hi - lo) / n
+    return d * float(np.sum(f(lo + d * (np.arange(n) + 0.5))))
 
 
 def rectangle_residual(cmap, t_hi, s_a, s_b, step) -> float:
     """Difference between the two integration orders over the rectangle
     [0, t_hi] x [s_a, s_b]; zero in the continuum."""
-    route1 = _march_theta_in_s(cmap, 0.0, s_a, s_b, step) + _march_theta_in_t(
-        cmap, s_b, 0.0, t_hi, step
+
+    def along_s(t):  # d theta / d vtheta at fixed t
+        return lambda s: 0.5 * (cmap.lam_plus_bar(s + t) - cmap.lam_minus_bar(s - t))
+
+    def along_t(s):  # d theta / dt at fixed vtheta
+        return lambda t: 0.5 * (cmap.lam_plus_bar(s + t) + cmap.lam_minus_bar(s - t))
+
+    route1 = _midpoint_rule(along_s(0.0), s_a, s_b, step) + _midpoint_rule(
+        along_t(s_b), 0.0, t_hi, step
     )
-    route2 = _march_theta_in_t(cmap, s_a, 0.0, t_hi, step) + _march_theta_in_s(
-        cmap, t_hi, s_a, s_b, step
+    route2 = _midpoint_rule(along_t(s_a), 0.0, t_hi, step) + _midpoint_rule(
+        along_s(t_hi), s_a, s_b, step
     )
     return float(route1 - route2)
 

@@ -399,9 +399,6 @@ class StringInitialData:
     def lam_minus_at(self, theta, strict: bool = False):
         return self._spline("lam_minus", self.lam_minus)(self._reduce(theta, strict))
 
-    def lam_plus_at(self, theta, strict: bool = False):
-        return self._spline("lam_plus", self.lam_plus)(self._reduce(theta, strict))
-
     def p0_at(self, theta, strict: bool = True):
         return self._spline("p0", self.p0)(self._reduce(theta, strict))
 

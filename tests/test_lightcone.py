@@ -141,10 +141,13 @@ def test_domain_of_dependence_is_exact():
     steps = 40
     h = grid.step
 
+    def rhs(where, u, p, q):
+        return -model.contract_pq(u, p, q)
+
     def march(u, p, q):
         hist = [(u, p, q)]
         for m in range(steps):
-            u, p, q = advance_diagonal(model, u, p, q, h, periodic=True)
+            u, p, q = advance_diagonal(rhs, u, p, q, h, periodic=True)
             hist.append((u, p, q))
         return hist
 
@@ -195,9 +198,12 @@ def test_manufactured_solution_local_truncation():
         vth = np.array([1.3 - h, 1.3, 1.3 + h])
         t0 = np.zeros(3)
         u, p, q = u_exact(t0, vth), p_exact(t0, vth), q_exact(t0, vth)
-        un, pn, qn = advance_diagonal(
-            model, u, p, q, h, periodic=False, source=source, t_level=0.0, vtheta=vth
-        )
+
+        def rhs(where, uu, pp, qq):
+            # where is in (levels, nodes) steps from the source node at vth[1]
+            return -model.contract_pq(uu, pp, qq) + source(where[0] * h, vth[1:-1] + where[1] * h)
+
+        un, pn, qn = advance_diagonal(rhs, u, p, q, h, periodic=False)
         tt = np.array([h])
         vv = np.array([1.3])
         err = max(

@@ -199,6 +199,36 @@ def test_rectangle_exactness():
         assert abs(rectangle_residual(cmap, 0.9731, 0.5, 4.0873, h)) <= 10.0 * h * h
 
 
+def test_rectangle_residual_matches_scalar_marches():
+    # reference: the four legs marched one midpoint panel at a time, as the
+    # residual was computed before it was vectorised; only the order of the
+    # sums differs, worth a few hundred ulps over ~150 panels of O(1) terms
+    cmap = map_from_profiles(
+        lambda s: -1.0 + 0.3 * np.sin(s), lambda s: 1.0 + 0.2 * np.cos(2 * s),
+        (0.0, 2.0 * np.pi), periodic=True, nodes=256,
+    )
+
+    def march(slope, lo, hi, step):
+        n = max(1, int(round(abs(hi - lo) / step)))
+        d, x, out = (hi - lo) / n, lo, 0.0
+        for _ in range(n):
+            out += d * slope(x + 0.5 * d)
+            x += d
+        return out
+
+    def d_s(t):
+        return lambda s: 0.5 * (cmap.lam_plus_bar(s + t) - cmap.lam_minus_bar(s - t))
+
+    def d_t(s):
+        return lambda t: 0.5 * (cmap.lam_plus_bar(s + t) + cmap.lam_minus_bar(s - t))
+
+    for t_hi, s_a, s_b, h in ((0.9731, 0.5, 4.0873, 0.025), (2.31, 5.9, 1.23, 0.05)):
+        expect = (march(d_s(0.0), s_a, s_b, h) + march(d_t(s_b), 0.0, t_hi, h)) - (
+            march(d_t(s_a), 0.0, t_hi, h) + march(d_s(t_hi), s_a, s_b, h)
+        )
+        assert rectangle_residual(cmap, t_hi, s_a, s_b, h) == pytest.approx(expect, abs=1e-12)
+
+
 def test_inverse_map_guard_wiring(monkeypatch):
     cmap = map_from_profiles(
         lambda s: -np.ones_like(s), lambda s: np.ones_like(s), (0.0, 2.0 * np.pi),
@@ -210,7 +240,7 @@ def test_inverse_map_guard_wiring(monkeypatch):
 
     monkeypatch.setattr(tr, "rectangle_residual", lambda *a, **k: 1.0)
     with pytest.raises(NumericalConsistencyError):
-        build_inverse_map(cmap, t, vth, n_rectangles=3)
+        build_inverse_map(cmap, t, vth)
 
 
 # ---------------------------------------------------------------------------
