@@ -49,16 +49,26 @@ EXIT_BLOWUP = 4
 EXIT_CONSISTENCY = 5
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+CSV_BLOCK_ROWS = 4096  # rows formatted by one ``%`` operation
+LOG_ARGUMENT_BATCH = 1 << 20  # points per log-argument call of ``check --out``
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, table):
+    """Write a float table as CSV, every value as ``%.17g`` (17 significant
+    digits, so each float64 reads back exactly).
+
+    ``table`` is a 2-D array or an iterable of 2-D blocks, one column per
+    header name.  Each block is written ``CSV_BLOCK_ROWS`` rows at a time,
+    so memory above the blocks themselves stays O(rows per block)."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    blocks = [table] if isinstance(table, np.ndarray) else table
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            for start in range(0, len(block), CSV_BLOCK_ROWS):
+                part = block[start : start + CSV_BLOCK_ROWS]
+                fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 
 def _write_manifest(path: Path, payload: dict):
@@ -120,17 +130,26 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
         print(f"  flag {name:<18}: {value}")
     if out_dir is not None:
         t_nodes = scenario.step * np.arange(int(scenario.t_max / scenario.step) + 1)
-        rows = []
-        for tval in t_nodes:
-            args = cf.log_argument(np.full_like(cmap.vtheta_nodes, tval), cmap.vtheta_nodes)
-            rows.extend(
-                (tval, v, a) for v, a in zip(cmap.vtheta_nodes, args)
-            )
-        _write_csv(out_dir / "log_argument.csv", ["t", "vartheta", "log_argument"], rows)
+        _write_csv(
+            out_dir / "log_argument.csv",
+            ["t", "vartheta", "log_argument"],
+            _log_argument_blocks(cf, t_nodes, cmap.vtheta_nodes),
+        )
     if not verdict.passed:
         print(f"blow-up time estimate t* = {verdict.t_star:.6f}")
         return EXIT_EXISTENCE
     return EXIT_OK
+
+
+def _log_argument_blocks(cf, t_nodes, vtheta):
+    """(t, vartheta, log argument) rows level by level, evaluated pointwise
+    in batches of whole levels of about ``LOG_ARGUMENT_BATCH`` points."""
+    per_batch = max(1, LOG_ARGUMENT_BATCH // len(vtheta))
+    for start in range(0, len(t_nodes), per_batch):
+        levels = t_nodes[start : start + per_batch]
+        tt = np.repeat(levels, len(vtheta))
+        vv = np.tile(vtheta, len(levels))
+        yield np.column_stack([tt, vv, cf.log_argument(tt, vv)])
 
 
 def _write_snapshots(model, sol, mesh, out_dir: Path, stride: int):
@@ -150,18 +169,10 @@ def _write_snapshots(model, sol, mesh, out_dir: Path, stride: int):
         lo, hi = sol.grid.valid_bounds(m)
         uu, pp, qq = sol.u[m, lo:hi], sol.p[m, lo:hi], sol.q[m, lo:hi]
         rp, rq = lightcone.relative_null_residuals(model, uu, pp, qq)
-        t_here = m * sol.grid.step
-        rows = []
-        for j in range(hi - lo):
-            rows.append(
-                [t_here, sol.grid.vtheta[lo + j], mesh.theta[m, lo + j]]
-                + list(uu[j])
-                + list(pp[j])
-                + list(qq[j])
-                + [rp[j], rq[j]]
-            )
+        t_here = np.full(hi - lo, m * sol.grid.step)
+        columns = [t_here, sol.grid.vtheta[lo:hi], mesh.theta[m, lo:hi], uu, pp, qq, rp, rq]
         name = out_dir / f"snapshot_{m:05d}.csv"
-        _write_csv(name, header, rows)
+        _write_csv(name, header, np.column_stack(columns))
         written.append(name.name)
     return written
 
@@ -257,26 +268,18 @@ def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
         txt = ", ".join(f"{o:.2f}" for o in orders) if orders else "exact"
         print(f"  u{c}: {txt}")
     if out_dir is not None:
-        rows = [
-            [steps[k]] + [errors[c][k] for c in range(4)] for k in range(len(steps))
-        ]
-        _write_csv(out_dir / "compare.csv", ["h", "err_u0", "err_u1", "err_u2", "err_u3"], rows)
+        table = np.column_stack([steps] + [errors[c] for c in range(4)])
+        _write_csv(out_dir / "compare.csv", ["h", "err_u0", "err_u1", "err_u2", "err_u3"], table)
     return EXIT_OK
 
 
 def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
     model, data = _prepare(scenario)
     del model
-    rows = [
-        (th, lm, lp, dens)
-        for th, lm, lp, dens in zip(
-            data.theta, data.lam_minus, data.lam_plus, data.lagrangian_density
-        )
-    ]
     _write_csv(
         out_dir / "initial_speeds.csv",
         ["theta", "lambda_minus", "lambda_plus", "lagrangian_density"],
-        rows,
+        np.column_stack([data.theta, data.lam_minus, data.lam_plus, data.lagrangian_density]),
     )
     cmap = transport.build_theta0(data)
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
@@ -286,16 +289,15 @@ def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
         print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
         return EXIT_PHYSICALITY
     mesh = transport.build_inverse_map(cmap, grid.t_nodes, grid.vtheta)
-    rows = []
-    for m, tval in enumerate(grid.t_nodes):
-        for j, v in enumerate(grid.vtheta):
-            rows.append(
-                (tval, v, mesh.theta[m, j], fields.lam_minus[m, j], fields.lam_plus[m, j])
-            )
+    levels = (
+        np.column_stack([np.full_like(grid.vtheta, t), grid.vtheta, mesh.theta[m],
+                         fields.lam_minus[m], fields.lam_plus[m]])
+        for m, t in enumerate(grid.t_nodes)
+    )
     _write_csv(
         out_dir / "speeds_field.csv",
         ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"],
-        rows,
+        levels,
     )
     print(f"wrote speed tables to {out_dir}")
     return EXIT_OK

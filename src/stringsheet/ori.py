@@ -503,6 +503,11 @@ class LatticeTables:
         self.coupling_constant = cf.a
         self.eps_log = cf.eps_log
 
+    @classmethod
+    def on_grid(cls, cf: OriClosedForm, grid: LightconeGrid) -> "LatticeTables":
+        """The tables of a characteristic lattice."""
+        return cls(cf, float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels)
+
     def _sample(self, cf, lo, step, first, last, sign, trace):
         """e^{-phi3/2}/2 + sign F/2 and trace e^{-phi3/2} on lo + k step,
         first <= k <= last, evaluated in chunks: ``cumulative`` makes about a
@@ -564,10 +569,6 @@ class StagedFields:
     q: np.ndarray
 
 
-def _grid_tables(cf: OriClosedForm, grid: LightconeGrid) -> LatticeTables:
-    return LatticeTables(cf, float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels)
-
-
 def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid):
     for m, t in enumerate(grid.t_nodes):
         lo, hi = grid.valid_bounds(m)
@@ -579,7 +580,7 @@ def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid):
 
 
 def solve_plane_components(
-    cf: OriClosedForm,
+    tables: LatticeTables,
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
@@ -588,7 +589,6 @@ def solve_plane_components(
     closed-form z-component supplies the coupling coefficient c: the
     right-hand side is (c u_x, -c u_y), with c gathered from the lattice
     tables at each corner and leg midpoint."""
-    tables = _grid_tables(cf, grid)
     _check_domain_finite(tables, grid)
     signs = np.array([1.0, -1.0])  # +c u for x, -c u for y
 
@@ -607,7 +607,7 @@ def solve_plane_components(
 
 
 def solve_time_component(
-    cf: OriClosedForm,
+    tables: LatticeTables,
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
@@ -617,10 +617,9 @@ def solve_time_component(
     the closed-form z-derivatives.  The right-hand side reads the plane
     fields at the rectangle corners and averages them along each leg to the
     target node for the midpoints."""
-    if cf.a is None:
+    a = tables.coupling_constant
+    if a is None:
         raise ConfigError("staged time solve needs the coupling constant")
-    a = cf.a
-    tables = _grid_tables(cf, grid)
 
     def rhs_at(m):
         lo, hi = grid.valid_bounds(m)
@@ -659,13 +658,13 @@ def staged_solution(
 ) -> np.ndarray:
     """Assemble the full four-component field: closed-form z, staged
     transverse and time components.  Shape (levels+1, nodes, 4)."""
-    plane = solve_plane_components(cf, data, cmap, grid)
-    time = solve_time_component(cf, data, cmap, grid, plane)
+    tables = LatticeTables.on_grid(cf, grid)
+    plane = solve_plane_components(tables, data, cmap, grid)
+    time = solve_time_component(tables, data, cmap, grid, plane)
     levels = grid.n_levels
     out = np.full((levels + 1, len(grid.vtheta), 4), np.nan)
     out[:, :, 0] = time.u
     out[:, :, 1:3] = plane.u
-    tables = _grid_tables(cf, grid)
     for m in range(levels + 1):
         lo, hi = grid.valid_bounds(m)
         out[m, lo:hi, 3] = tables.u3(m, lo, hi - lo)

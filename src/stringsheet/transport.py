@@ -48,7 +48,6 @@ class CoordinateMap:
     periodic: bool
     theta_period: Optional[float]
     vtheta_period: Optional[float]
-    anchor_theta: float
     _fwd: PchipInterpolator
     _inv: PchipInterpolator
     _prof_minus: CubicSpline
@@ -159,7 +158,6 @@ def build_theta0(data: StringInitialData) -> CoordinateMap:
         periodic=periodic,
         theta_period=data.domain.length if periodic else None,
         vtheta_period=period,
-        anchor_theta=float(theta[anchor_idx]),
         _fwd=fwd,
         _inv=inv,
         _prof_minus=pm,
@@ -214,7 +212,6 @@ def map_from_profiles(
         periodic=periodic,
         theta_period=theta_period,
         vtheta_period=period,
-        anchor_theta=0.0,
         _fwd=fwd,
         _inv=inv,
         _prof_minus=pm,

@@ -353,7 +353,6 @@ class StringInitialData:
     lagrangian_density: np.ndarray
     p0: np.ndarray
     q0: np.ndarray
-    spacing: float
     _splines: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -490,7 +489,6 @@ def build_initial_data(
         lagrangian_density=density,
         p0=p0,
         q0=q0,
-        spacing=spacing,
     )
 
 

@@ -1,10 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import blowup_scenario_dict, ori_smooth_scenario_dict
+from stringsheet import cli, lightcone, scenario, transport, worldsheet
 from stringsheet.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -254,3 +260,156 @@ def test_compare_requires_quadratic_model(tmp_path):
 def test_shipped_scenarios_check(name, tmax, expect):
     code = main(["check", str(SCENARIO_DIR / name), "--tmax", tmax])
     assert code == expect
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+
+def oracle_csv(header, rows) -> str:
+    """The row-by-row formatter the block writer replaced: one
+    ``format(v, ".17g")`` per value."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def read_csv(path):
+    """Header and rows of a CSV, each field parsed by ``float``."""
+    lines = path.read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 2.0**53 + 2,
+    1e22, -1e22, 0.1, 1.0, -3.0, 1e16, 1.7976931348623157e308, 2.2250738585072014e-308,
+]
+
+
+def test_writer_matches_oracle_on_edge_values(tmp_path):
+    table = np.array(EDGE_VALUES).reshape(-1, 1) * np.ones(3)
+    path = tmp_path / "edge.csv"
+    cli._write_csv(path, ["a", "b", "c"], table)
+    text = path.read_text()
+    assert text == oracle_csv(["a", "b", "c"], table)
+    assert "\n1,1,1\n" in text and "\n-0,-0,-0\n" in text
+    assert "\nnan,nan,nan\n" in text and "\n-inf,-inf,-inf\n" in text
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 6))),
+    st.integers(1, 9),
+    st.integers(1, 3),
+)
+def test_writer_matches_oracle_on_random_blocks(table, block_rows, pieces):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    expected = oracle_csv(header, table)
+    # the same rows as one array and as an iterable of uneven blocks
+    cuts = np.linspace(0, len(table), pieces + 1).astype(int)
+    blocks = (table[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+        path = Path(tmp) / "t.csv"
+        for source in (table, blocks):
+            cli._write_csv(path, header, source)
+            assert path.read_text() == expected
+
+
+def library_run(path):
+    """The pipeline of ``speeds`` and ``simulate`` called through the
+    library, to hold the values their CSVs must contain."""
+    sc = scenario.load_scenario(path)
+    model = scenario.build_model(sc)
+    theta = scenario.build_theta_grid(sc)
+    phi, psi = scenario.build_initial_arrays(sc, theta, model.dim)
+    data = worldsheet.build_initial_data(
+        model, theta, phi, psi, scenario.build_domain(sc), thresholds=sc.thresholds
+    )
+    cmap = transport.build_theta0(data)
+    grid = lightcone.build_grid(cmap, sc.step, sc.t_max)
+    fields = transport.solve_riemann_invariants(cmap, grid.t_nodes, grid.vtheta)
+    mesh = transport.build_inverse_map(cmap, grid.t_nodes, grid.vtheta)
+    return model, data, cmap, grid, fields, mesh
+
+
+def test_speeds_field_round_trips_exactly(tmp_path):
+    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5))
+    assert main(["speeds", str(path), "--out", str(tmp_path / "sp")]) == 0
+    _, _, _, grid, fields, mesh = library_run(path)
+    _, values = read_csv(tmp_path / "sp" / "speeds_field.csv")
+    expected = np.column_stack(
+        [
+            np.repeat(grid.t_nodes, len(grid.vtheta)),
+            np.tile(grid.vtheta, len(grid.t_nodes)),
+            mesh.theta.ravel(),
+            fields.lam_minus.ravel(),
+            fields.lam_plus.ravel(),
+        ]
+    )
+    assert np.array_equal(values, expected)
+
+
+def test_snapshot_round_trips_exactly(tmp_path):
+    cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5, stride=4)
+    path = write_scenario(tmp_path, cfg)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 0
+    model, data, cmap, grid, _, mesh = library_run(path)
+    sol = lightcone.solve(model, data, cmap, grid, thresholds=scenario.load_scenario(path).thresholds)
+    m = 4
+    lo, hi = grid.valid_bounds(m)
+    u, p, q = sol.u[m, lo:hi], sol.p[m, lo:hi], sol.q[m, lo:hi]
+    rp, rq = lightcone.relative_null_residuals(model, u, p, q)
+    expected = np.column_stack(
+        [np.full(hi - lo, m * grid.step), grid.vtheta[lo:hi], mesh.theta[m, lo:hi], u, p, q, rp, rq]
+    )
+    _, values = read_csv(tmp_path / "sim" / f"snapshot_{m:05d}.csv")
+    assert np.array_equal(values, expected)
+
+
+def _snapshot_header(dim):
+    names = [f"{f}{c}" for f in "upq" for c in range(dim)]
+    return ",".join(["t", "vartheta", "theta"] + names + ["null_residual_p", "null_residual_q"])
+
+
+CSV_HEADERS = {
+    "initial_speeds.csv": "theta,lambda_minus,lambda_plus,lagrangian_density",
+    "speeds_field.csv": "t,vartheta,theta,lambda_minus,lambda_plus",
+    "log_argument.csv": "t,vartheta,log_argument",
+    "compare.csv": "h,err_u0,err_u1,err_u2,err_u3",
+    "snapshot": _snapshot_header(4),
+}
+SMALL_H = float(2 * np.pi / 64)
+
+
+def _compare_dict():
+    cfg = ori_smooth_scenario_dict(h=SMALL_H, t_max=0.5)
+    cfg["compare"] = {"levels": 2}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,cfg,expect",
+    [
+        ("speeds", ori_smooth_scenario_dict(h=SMALL_H, t_max=0.5), 0),
+        ("simulate", ori_smooth_scenario_dict(h=SMALL_H, t_max=0.5, stride=4), 0),
+        ("simulate", blowup_scenario_dict(h=0.1), 4),
+        ("check", ori_smooth_scenario_dict(h=SMALL_H, t_max=0.5), 0),
+        ("check", blowup_scenario_dict(h=0.1), 3),
+        ("compare", _compare_dict(), 0),
+    ],
+    ids=["speeds", "simulate", "simulate-blowup", "check", "check-blowup", "compare"],
+)
+def test_csv_bytes_are_the_oracle_format(tmp_path, command, cfg, expect):
+    # every CSV is its parsed values re-formatted by the oracle, header
+    # included, so a writer change cannot alter the format unnoticed
+    path = write_scenario(tmp_path, cfg)
+    out_dir = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out_dir)]) == expect
+    written = sorted(out_dir.glob("*.csv"))
+    assert written
+    for csv_path in written:
+        key = "snapshot" if csv_path.name.startswith("snapshot_") else csv_path.name
+        header, values = read_csv(csv_path)
+        assert ",".join(header) == CSV_HEADERS[key]
+        assert csv_path.read_text() == oracle_csv(header, values), csv_path.name

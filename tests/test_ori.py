@@ -398,7 +398,7 @@ def test_plane_components_free_wave_when_coupling_vanishes():
         coupling_constant=model.a,
     )
     assert np.max(np.abs(cf.coupling(grid.t_nodes[:, None], grid.vtheta[None, :]))) < 1e-20
-    plane = solve_plane_components(cf, data, cmap, grid)
+    plane = solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid)
     # compare against superposition of the mapped profiles
     theta_star = cmap.theta0_inverse
     for comp, col in ((0, 1), (1, 2)):
@@ -490,7 +490,7 @@ def test_transverse_swap_symmetry():
         cmap = build_theta0(data)
         grid = build_grid(cmap, cmap.vtheta_period / 128, 1.0)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=a)
-        out[tag] = solve_plane_components(cf, data, cmap, grid)
+        out[tag] = solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid)
     assert np.allclose(out["base"].u[:, :, 0], out["swap"].u[:, :, 1], atol=1e-10)
     assert np.allclose(out["base"].u[:, :, 1], out["swap"].u[:, :, 0], atol=1e-10)
 
@@ -501,7 +501,7 @@ def test_staged_solve_rejects_blown_domain():
     grid = build_grid(cmap, 0.05, 4.5)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
     with pytest.raises(DomainTruncationError):
-        solve_plane_components(cf, data, cmap, grid)
+        solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid)
 
 
 def test_time_component_free_wave_limit():
@@ -510,8 +510,9 @@ def test_time_component_free_wave_limit():
     cmap = build_theta0(data)
     grid = build_grid(cmap, cmap.vtheta_period / 256, 1.0)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=0.0)
-    plane = solve_plane_components(cf, data, cmap, grid)
-    time_f = solve_time_component(cf, data, cmap, grid, plane)
+    tables = LatticeTables.on_grid(cf, grid)
+    plane = solve_plane_components(tables, data, cmap, grid)
+    time_f = solve_time_component(tables, data, cmap, grid, plane)
     sol = solve(model, data, cmap, grid)
     assert np.nanmax(np.abs(time_f.u - sol.u[:, :, 0])) < 1e-6
 
