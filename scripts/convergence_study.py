@@ -42,14 +42,21 @@ def main(t_max=5.0):
         cmap = build_theta0(data)
         grid = build_grid(cmap, 2.0 * np.pi / denom, t_max)
         started = time.perf_counter()
-        sol = solve(model, data, cmap, grid)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
         staged = staged_solution(cf, data, cmap, grid)
-        u3 = cf.u3(grid.t_nodes[:, None], grid.vtheta[None, :])
+        worst = np.zeros(4)
+
+        def sink(m, u, p, q):
+            # staged components level by level in lockstep; z against the
+            # pointwise closed form
+            _, u_staged = next(staged)
+            lo, hi = grid.valid_bounds(m)
+            u_staged[:, 3] = cf.u3(grid.t_nodes[m], grid.vtheta[lo:hi])
+            np.fmax(worst, np.max(np.abs(u - u_staged), axis=0), out=worst)
+
+        sol = solve(model, data, cmap, grid, sink=sink)
         wall = time.perf_counter() - started
-        errs = [float(np.nanmax(np.abs(sol.u[:, :, c] - staged[:, :, c]))) for c in range(3)]
-        errs.append(float(np.nanmax(np.abs(sol.u[:, :, 3] - u3))))
-        rows.append((grid.step, errs, sol.max_null_residual, wall))
+        rows.append((grid.step, worst.tolist(), sol.max_null_residual, wall))
     print(f"{'h':>12} {'err u0':>11} {'err u1':>11} {'err u2':>11} "
           f"{'err u3':>11} {'null res':>11} {'wall':>7}")
     for step, errs, null, wall in rows:

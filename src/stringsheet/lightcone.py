@@ -6,8 +6,9 @@ characteristics.  The one-form fields advance along their own families with
 a second-order predictor-corrector on each characteristic rectangle; the
 position field is recovered by trapezoid integration along both legs.
 ``advance_diagonal`` is that one rectangle step and ``march`` the one level
-loop; the general solve and the staged solves of ``ori`` differ only in the
-right-hand side they pass.
+loop, a generator that holds only the current diagonal; the general solve
+and the staged solves of ``ori`` differ only in the right-hand side they
+pass.  Nothing stores a lattice: ``solve`` hands each level to a sink.
 
 There is no CFL restriction and no transport error: with a flat ambient
 metric the one-form values are bitwise constant along their characteristics.
@@ -119,10 +120,10 @@ class BlowUpReport:
 
 @dataclass
 class LightconeSolution:
+    """Monitor series and outcome of a march; the fields themselves went to
+    the sink level by level."""
+
     grid: LightconeGrid
-    u: np.ndarray  # (levels+1, nodes, dim), NaN outside the valid triangle
-    p: np.ndarray
-    q: np.ndarray
     null_res_p: np.ndarray  # per-level max relative residuals
     null_res_q: np.ndarray
     deriv_res: np.ndarray
@@ -214,42 +215,21 @@ def advance_diagonal(
     return u_new, p_new, q_new
 
 
-def march(
-    grid: LightconeGrid,
-    init,
-    rhs_at: Callable,
-    level_done: Optional[Callable] = None,
-):
-    """Fill the lattice level by level from the initial diagonal
-    ``init = (u0, p0, q0)``.
+def march(grid: LightconeGrid, init, rhs_at: Callable):
+    """Yield ``(m, u, p, q)`` on the valid nodes of each level, from the
+    initial diagonal ``init = (u0, p0, q0)`` up.
 
-    ``rhs_at(m)`` gives the right-hand side of the step from level m to
-    m + 1 (see ``advance_diagonal``).  ``level_done(m, u, p, q)`` sees the
-    valid nodes of each finished level, the initial one included; returning
-    True stops the march after that level.  Returns (u, p, q,
-    levels_computed), NaN outside the valid triangle.
+    Only the current diagonal is held: level m + 1 is computed when the
+    consumer asks for it, and a consumer stops the march by leaving the
+    loop.  ``rhs_at(m)`` gives the right-hand side of the step from level m
+    to m + 1 (see ``advance_diagonal``); it is called once per step, in
+    order, just before the step.
     """
-    u0, p0, q0 = init
-    u = np.full((grid.n_levels + 1,) + np.shape(u0), np.nan)
-    p = np.full_like(u, np.nan)
-    q = np.full_like(u, np.nan)
-    u[0], p[0], q[0] = u0, p0, q0
-
-    def stop(m):
-        if level_done is None:
-            return False
-        lo, hi = grid.valid_bounds(m)
-        return level_done(m, u[m, lo:hi], p[m, lo:hi], q[m, lo:hi])
-
-    m = 0
-    while not stop(m) and m < grid.n_levels:
-        lo, hi = grid.valid_bounds(m)
-        nlo, nhi = grid.valid_bounds(m + 1)
-        u[m + 1, nlo:nhi], p[m + 1, nlo:nhi], q[m + 1, nlo:nhi] = advance_diagonal(
-            rhs_at(m), u[m, lo:hi], p[m, lo:hi], q[m, lo:hi], grid.step, grid.periodic
-        )
-        m += 1
-    return u, p, q, m
+    u, p, q = init
+    yield 0, u, p, q
+    for m in range(grid.n_levels):
+        u, p, q = advance_diagonal(rhs_at(m), u, p, q, grid.step, grid.periodic)
+        yield m + 1, u, p, q
 
 
 def relative_null_residuals(model: MetricModel, u, p, q):
@@ -283,9 +263,11 @@ def solve(
     cmap: CoordinateMap,
     grid: LightconeGrid,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    sink: Optional[Callable] = None,
 ) -> LightconeSolution:
-    """March the full lattice level by level, monitoring the null residuals
-    and the one-form/derivative consistency on every diagonal.
+    """March the lattice level by level, monitoring the null residuals and
+    the one-form/derivative consistency on every diagonal, then passing it
+    to ``sink(m, u, p, q)`` (valid nodes only; the blow-up level included).
 
     Field overflow or a null-residual breach stops the run with a structured
     blow-up report carried on the returned solution.  A derivative-
@@ -296,7 +278,6 @@ def solve(
     null_p = np.zeros(levels + 1)
     null_q = np.zeros(levels + 1)
     deriv = np.zeros(levels + 1)
-    reports: list = []
     pending: list = []
 
     def rhs(where, u, p, q):
@@ -348,13 +329,14 @@ def solve(
             pending.append((t_here, deriv[level]))
         return None
 
-    def level_done(level, uu, pp, qq):
-        reports.append(inspect(level, uu, pp, qq))
-        return reports[-1] is not None
-
     init = initial_lightcone_data(data, cmap, grid)
-    u, p, q, computed = march(grid, init, lambda m: rhs, level_done)
-    blowup = reports[-1]
+    blowup, computed = None, 0
+    for computed, uu, pp, qq in march(grid, init, lambda m: rhs):
+        blowup = inspect(computed, uu, pp, qq)
+        if sink is not None:
+            sink(computed, uu, pp, qq)
+        if blowup is not None:
+            break
     if blowup is None and pending:
         t_bad, value = pending[0]
         raise NumericalConsistencyError(
@@ -363,9 +345,6 @@ def solve(
         )
     return LightconeSolution(
         grid=grid,
-        u=u,
-        p=p,
-        q=q,
         null_res_p=null_p,
         null_res_q=null_q,
         deriv_res=deriv,

@@ -10,7 +10,8 @@ known, the two transverse components satisfy linear equations and the time
 component a final linear equation.  The staged solves march them with the
 general solver's one rectangle kernel (``lightcone.march``); each passes a
 right-hand-side closure that gathers the closed form from ``LatticeTables``
-at the rectangle corners and leg midpoints.
+at the rectangle corners and leg midpoints, and each is a generator of
+lattice levels that holds one diagonal.
 
 The straightened initial profiles are the single most error-prone input:
 the velocity profile at fixed vtheta differs from the original velocity
@@ -37,7 +38,6 @@ __all__ = [
     "LatticeTables",
     "ExistenceReport",
     "CorollaryFlags",
-    "StagedFields",
     "solve_plane_components",
     "solve_time_component",
     "staged_solution",
@@ -263,21 +263,25 @@ class OriClosedForm:
         else:
             hi = self.vtheta_nodes[-1] / 2.0
         n = max(257, 4 * len(self.vtheta_nodes) + 1)
-        s_nodes = np.linspace(lo, hi, n)
-        self._s_nodes = s_nodes
+        self._s_nodes = np.linspace(lo, hi, n)
         self._s_period = hi - lo if self.periodic else None
         self._tables = {}
-        for which in ("psi", "p", "q"):
-            seg = _segment_integrals(self._integrand(which), s_nodes)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            self._tables[which] = cum
-        self._edge_values = {
-            which: (
-                float(self._integrand(which)(np.array([lo]))[0]),
-                float(self._integrand(which)(np.array([hi]))[0]),
+        self._edge_values = {}
+        self._table("psi")
+
+    def _table(self, which):
+        """Cumulative table of one integrand form, built on first use: the
+        lattice paths read only psi, the p and q routes are cross-checks."""
+        if which not in self._tables:
+            f = self._integrand(which)
+            nodes = self._s_nodes
+            seg = _segment_integrals(f, nodes)
+            self._tables[which] = np.concatenate([[0.0], np.cumsum(seg)])
+            self._edge_values[which] = (
+                float(f(np.array([nodes[0]]))[0]),
+                float(f(np.array([nodes[-1]]))[0]),
             )
-            for which in ("psi", "p", "q")
-        }
+        return self._tables[which]
 
     def cumulative(self, s, which="psi"):
         """F(s) = integral of the chosen integrand from the table origin,
@@ -286,7 +290,7 @@ class OriClosedForm:
         s = np.asarray(s, dtype=float)
         nodes = self._s_nodes
         f = self._integrand(which)
-        table = self._tables[which]
+        table = self._table(which)
         if self.periodic:
             total = table[-1]
             k = np.floor((s - nodes[0]) / self._s_period)
@@ -559,24 +563,13 @@ class LatticeTables:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StagedFields:
-    """Staged components and their one-forms on the lattice: (levels+1,
-    nodes, 2) for the transverse pair, (levels+1, nodes) for time."""
-
-    u: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-
-def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid):
-    for m, t in enumerate(grid.t_nodes):
-        lo, hi = grid.valid_bounds(m)
-        if np.any(tables.log_argument(m, lo, hi - lo) <= tables.eps_log):
-            raise DomainTruncationError(
-                f"closed-form z-component blows up inside the requested domain "
-                f"at t={t:.6g}; truncate t_max or change the data"
-            )
+def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid, m: int):
+    lo, hi = grid.valid_bounds(m)
+    if np.any(tables.log_argument(m, lo, hi - lo) <= tables.eps_log):
+        raise DomainTruncationError(
+            f"closed-form z-component blows up inside the requested domain "
+            f"at t={m * grid.step:.6g}; truncate t_max or change the data"
+        )
 
 
 def solve_plane_components(
@@ -584,15 +577,17 @@ def solve_plane_components(
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
-) -> StagedFields:
-    """March the two transverse components, which are linear once the
-    closed-form z-component supplies the coupling coefficient c: the
-    right-hand side is (c u_x, -c u_y), with c gathered from the lattice
-    tables at each corner and leg midpoint."""
-    _check_domain_finite(tables, grid)
+):
+    """Yield ``(m, u, p, q)`` of the two transverse components level by
+    level (see ``lightcone.march``).  They are linear once the closed-form
+    z-component supplies the coupling coefficient c: the right-hand side is
+    (c u_x, -c u_y), with c gathered from the lattice tables at each corner
+    and leg midpoint.  Each level's log argument is checked before the
+    march steps onto it."""
     signs = np.array([1.0, -1.0])  # +c u for x, -c u for y
 
     def rhs_at(m):
+        _check_domain_finite(tables, grid, m + 1)
         lo, hi = grid.valid_bounds(m + 1)
 
         def rhs(where, u, p, q):
@@ -601,9 +596,9 @@ def solve_plane_components(
 
         return rhs
 
+    _check_domain_finite(tables, grid, 0)
     init = (f[:, 1:3] for f in initial_lightcone_data(data, cmap, grid))
-    u, p, q, _ = march(grid, init, rhs_at)
-    return StagedFields(u=u, p=p, q=q)
+    yield from march(grid, init, rhs_at)
 
 
 def solve_time_component(
@@ -611,22 +606,25 @@ def solve_time_component(
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
-    plane: StagedFields,
-) -> StagedFields:
-    """March the time component, which is linear given the plane fields and
-    the closed-form z-derivatives.  The right-hand side reads the plane
-    fields at the rectangle corners and averages them along each leg to the
-    target node for the midpoints."""
+    plane,
+):
+    """Yield ``(m, u, p, q)`` of the time component level by level.  It is
+    linear given the plane fields and the closed-form z-derivatives.
+    ``plane`` iterates over the plane levels as ``solve_plane_components``
+    yields them, and the step onto level m + 1 pulls plane level m + 1.  The
+    right-hand side reads the plane fields at the rectangle corners and
+    averages them along each leg to the target node for the midpoints."""
     a = tables.coupling_constant
     if a is None:
         raise ConfigError("staged time solve needs the coupling constant")
+    plane = iter(plane)
+    below = next(plane)[1:]
 
     def rhs_at(m):
-        lo, hi = grid.valid_bounds(m)
+        nonlocal below
         nlo, nhi = grid.valid_bounds(m + 1)
-        fields = (plane.u, plane.p, plane.q)
-        ends = [corners(f[m, lo:hi], grid.periodic) for f in fields]
-        target = [f[m + 1, nlo:nhi] for f in fields]
+        ends = [corners(f, grid.periodic) for f in below]
+        target = below = next(plane)[1:]
 
         def rhs(where, u0v, p0v, q0v):
             level, node = m + where[0], nlo + where[1]
@@ -646,8 +644,7 @@ def solve_time_component(
         return rhs
 
     init = (f[:, 0] for f in initial_lightcone_data(data, cmap, grid))
-    u, p, q, _ = march(grid, init, rhs_at)
-    return StagedFields(u=u, p=p, q=q)
+    yield from march(grid, init, rhs_at)
 
 
 def staged_solution(
@@ -655,17 +652,18 @@ def staged_solution(
     data: StringInitialData,
     cmap: CoordinateMap,
     grid: LightconeGrid,
-) -> np.ndarray:
-    """Assemble the full four-component field: closed-form z, staged
-    transverse and time components.  Shape (levels+1, nodes, 4)."""
+):
+    """Yield ``(m, u)`` level by level: the four-component field on the
+    valid nodes, shape (nodes, 4), with staged time and transverse
+    components and the closed-form z-component."""
     tables = LatticeTables.on_grid(cf, grid)
-    plane = solve_plane_components(tables, data, cmap, grid)
-    time = solve_time_component(tables, data, cmap, grid, plane)
-    levels = grid.n_levels
-    out = np.full((levels + 1, len(grid.vtheta), 4), np.nan)
-    out[:, :, 0] = time.u
-    out[:, :, 1:3] = plane.u
-    for m in range(levels + 1):
+    plane_u = {}  # plane levels pulled by the time march and not yet yielded
+
+    def plane():
+        for level in solve_plane_components(tables, data, cmap, grid):
+            plane_u[level[0]] = level[1]
+            yield level
+
+    for m, u0, _, _ in solve_time_component(tables, data, cmap, grid, plane()):
         lo, hi = grid.valid_bounds(m)
-        out[m, lo:hi, 3] = tables.u3(m, lo, hi - lo)
-    return out
+        yield m, np.column_stack([u0, plane_u.pop(m), tables.u3(m, lo, hi - lo)])

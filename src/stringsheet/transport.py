@@ -39,8 +39,7 @@ class CoordinateMap:
 
     For closed strings the map winds: theta0(theta + L) = theta0(theta) + P
     where P is the image period; evaluations reduce arguments accordingly.
-    Line-domain speed profiles extrapolate as constants outside the window
-    (callers can ask whether an argument was clamped).
+    Line-domain speed profiles extrapolate as constants outside the window.
     """
 
     theta_nodes: np.ndarray
@@ -102,14 +101,6 @@ class CoordinateMap:
             lo = self.vtheta_nodes[0]
             return lo + np.mod(s - lo, self.vtheta_period)
         return np.clip(s, self.vtheta_nodes[0], self.vtheta_nodes[-1])
-
-    def clamped(self, s) -> bool:
-        if self.periodic:
-            return False
-        s = np.asarray(s, dtype=float)
-        return bool(
-            np.any((s < self.vtheta_nodes[0]) | (s > self.vtheta_nodes[-1]))
-        )
 
     def lam_minus_bar(self, s):
         return self._prof_minus(self._reduce(s))
@@ -229,7 +220,6 @@ class TransportFields:
     lam_plus: np.ndarray
     ordering_ok: bool
     violation: Optional[tuple]  # (t, vtheta, lam-, lam+)
-    window_exited: bool
 
 
 def solve_riemann_invariants(
@@ -243,7 +233,6 @@ def solve_riemann_invariants(
     args_plus = s[None, :] + t[:, None]
     lm = cmap.lam_minus_bar(args_minus)
     lp = cmap.lam_plus_bar(args_plus)
-    exited = cmap.clamped(args_minus) or cmap.clamped(args_plus)
     bad = lm >= lp
     ordering_ok = not bool(np.any(bad))
     violation = None
@@ -258,7 +247,6 @@ def solve_riemann_invariants(
         lam_plus=lp,
         ordering_ok=ordering_ok,
         violation=violation,
-        window_exited=exited,
     )
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +11,8 @@ from stringsheet import (
     OriQuadratic,
     StateVector,
     build_initial_data,
+    solve,
+    staged_solution,
 )
 
 settings.register_profile(
@@ -23,6 +27,52 @@ settings.load_profile("suite")
 def observed_orders(errors):
     e = np.asarray(errors, dtype=float)
     return [float(np.log2(e[k] / e[k + 1])) for k in range(len(e) - 1)]
+
+
+class LatticeRecorder:
+    """A level sink that keeps every level: each field of ``(m, field, ...)``
+    goes into a (levels+1, nodes, ...) lattice, NaN outside the valid
+    triangle and above the last level received."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.lattices = None
+
+    def __call__(self, m, *fields):
+        if self.lattices is None:
+            shape = (self.grid.n_levels + 1, len(self.grid.vtheta))
+            self.lattices = [np.full(shape + np.shape(f)[1:], np.nan) for f in fields]
+        lo, hi = self.grid.valid_bounds(m)
+        for lattice, f in zip(self.lattices, fields):
+            lattice[m, lo:hi] = f
+
+
+def record_levels(levels, grid):
+    """The lattices of a level generator, one per field it yields."""
+    recorder = LatticeRecorder(grid)
+    for level in levels:
+        recorder(*level)
+    return recorder.lattices
+
+
+def recorded_fields(levels, grid):
+    """u, p and q lattices of a staged level generator."""
+    u, p, q = record_levels(levels, grid)
+    return SimpleNamespace(u=u, p=p, q=q)
+
+
+def recorded_solve(model, data, cmap, grid, **kwargs):
+    """``solve`` with its u, p and q lattices recorded on the solution."""
+    recorder = LatticeRecorder(grid)
+    sol = solve(model, data, cmap, grid, sink=recorder, **kwargs)
+    sol.u, sol.p, sol.q = recorder.lattices
+    return sol
+
+
+def recorded_staged(cf, data, cmap, grid):
+    """The (levels+1, nodes, 4) lattice of ``staged_solution``."""
+    (u,) = record_levels(staged_solution(cf, data, cmap, grid), grid)
+    return u
 
 
 def harmonic_xy_model(c=0.7):

@@ -19,6 +19,8 @@ from conftest import (
     offset_circle_ori_data,
     product_xy_model,
     random_timelike_states,
+    recorded_solve,
+    recorded_staged,
 )
 from stringsheet import (
     Minkowski,
@@ -35,7 +37,6 @@ from stringsheet import (
     rk4_transport_check,
     solve,
     solve_riemann_invariants,
-    staged_solution,
     system_matrix,
 )
 from stringsheet.cli import main
@@ -54,9 +55,9 @@ def ori_run(denom, t_max=5.0):
         cmap = build_theta0(data)
         grid = build_grid(cmap, 2.0 * np.pi / denom, t_max)
         started = time.perf_counter()
-        sol = solve(model, data, cmap, grid)
+        sol = recorded_solve(model, data, cmap, grid)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
-        staged = staged_solution(cf, data, cmap, grid)
+        staged = recorded_staged(cf, data, cmap, grid)
         u3 = cf.u3(grid.t_nodes[:, None], grid.vtheta[None, :])
         wall = time.perf_counter() - started
         _CACHE[key] = dict(
@@ -315,7 +316,7 @@ def test_criterion_10_flat_space_exactness():
         model, data = minkowski_circle_data(nodes=denom, wave_amp=0.1, unit_speeds=True)
         cmap = build_theta0(data)
         grid = build_grid(cmap, 2.0 * np.pi / denom, 2.0)
-        sol = solve(model, data, cmap, grid)
+        sol = recorded_solve(model, data, cmap, grid)
         assert sol.blowup is None
         # bitwise transport of the one-forms along their characteristics
         for m in range(0, sol.levels_computed + 1, 16):

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,8 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import blowup_scenario_dict, ori_smooth_scenario_dict
-from stringsheet import cli, lightcone, scenario, transport, worldsheet
+from conftest import (
+    blowup_scenario_dict,
+    ori_smooth_scenario_dict,
+    recorded_solve,
+    recorded_staged,
+)
+from stringsheet import cli, lightcone, ori, scenario, transport, worldsheet
 from stringsheet.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -94,6 +100,11 @@ def test_consistency_breach_exits_5(tmp_path):
     cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 16), t_max=2.0)
     path = write_scenario(tmp_path, cfg)
     assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 5
+    # the march streams its levels out, so the snapshots written before the
+    # breach stay
+    assert [p.name for p in sorted((tmp_path / "o").glob("snapshot_*.csv"))] == [
+        "snapshot_00000.csv"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +254,64 @@ def test_compare_requires_quadratic_model(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# streaming: one diagonal held, whatever the number of levels
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(argv):
+    """Exit code and tracemalloc peak in bytes of one in-process CLI call."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, denom", [("simulate", 256), ("compare", 192)])
+def test_peak_memory_does_not_scale_with_levels(tmp_path, command, denom):
+    # Four times the levels may raise the peak by at most half.  Only the
+    # theta table (one float per lattice node) and the speed-ordering slices
+    # grow with the levels; with whole (levels, nodes, 4) lattices the peak
+    # grew 3.6x (simulate) and 3.8x (compare) on these scenarios.
+    peaks = []
+    for t_max in (2.0, 8.0):
+        cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / denom), t_max=t_max, stride=10**6)
+        cfg["compare"] = {"levels": 1}
+        path = write_scenario(tmp_path, cfg, f"t{t_max:g}.json")
+        code, peak = traced_peak([command, str(path), "--out", str(tmp_path / f"t{t_max:g}")])
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 128), t_max=1.0),
+        lambda: blowup_scenario_dict(h=0.05, t_max=2.0),
+    ],
+    ids=["ring", "line"],
+)
+def test_streamed_compare_errors_equal_whole_lattice_maxima(tmp_path, make):
+    # compare keeps per-component maxima level by level while the general
+    # and staged marches run in lockstep; they must be the nanmax over the
+    # whole recorded lattices, bit for bit
+    cfg = make()
+    cfg["compare"] = {"levels": 2}
+    path = write_scenario(tmp_path, cfg)
+    assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 0
+    _, values = read_csv(tmp_path / "cmp" / "compare.csv")
+    for h, row in zip(values[:, 0], values[:, 1:]):
+        cfg["grid"]["h"] = float(h)
+        model, data, cmap, grid, _, _ = library_run(write_scenario(tmp_path, cfg, "rung.json"))
+        sol = recorded_solve(model, data, cmap, grid)
+        cf = ori.OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
+        diff = np.abs(sol.u - recorded_staged(cf, data, cmap, grid))
+        assert np.array_equal(row, [np.nanmax(diff[:, :, c]) for c in range(4)])
+
+
+# ---------------------------------------------------------------------------
 # shipped scenarios stay valid
 # ---------------------------------------------------------------------------
 
@@ -355,7 +424,7 @@ def test_snapshot_round_trips_exactly(tmp_path):
     path = write_scenario(tmp_path, cfg)
     assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 0
     model, data, cmap, grid, _, mesh = library_run(path)
-    sol = lightcone.solve(model, data, cmap, grid, thresholds=scenario.load_scenario(path).thresholds)
+    sol = recorded_solve(model, data, cmap, grid, thresholds=scenario.load_scenario(path).thresholds)
     m = 4
     lo, hi = grid.valid_bounds(m)
     u, p, q = sol.u[m, lo:hi], sol.p[m, lo:hi], sol.q[m, lo:hi]

@@ -6,6 +6,7 @@ from conftest import (
     circle_ori_data,
     minkowski_circle_data,
     observed_orders,
+    recorded_solve,
 )
 from stringsheet import (
     ConfigError,
@@ -23,7 +24,7 @@ def solved_minkowski(nodes=256, denom=256, t_max=2.0, unit_speeds=True, wave_amp
     model, data = minkowski_circle_data(nodes=nodes, wave_amp=wave_amp, unit_speeds=unit_speeds)
     cmap = build_theta0(data)
     grid = build_grid(cmap, 2.0 * np.pi / denom, t_max)
-    return model, data, cmap, grid, solve(model, data, cmap, grid)
+    return model, data, cmap, grid, recorded_solve(model, data, cmap, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_static_point_string():
     data = build_initial_data(model, th, phi, psi, Domain.closed(2 * np.pi))
     cmap = build_theta0(data)
     grid = build_grid(cmap, 2 * np.pi / 256, 0.5)
-    sol = solve(model, data, cmap, grid)
+    sol = recorded_solve(model, data, cmap, grid)
     # transverse one-forms are +-phi' and transport exactly; u0 grows linearly
     assert sol.blowup is None
     assert np.allclose(sol.u[-1, :, 0], grid.n_levels * grid.step, atol=1e-12)

@@ -7,6 +7,10 @@ from conftest import (
     circle_ori_data,
     observed_orders,
     offset_circle_ori_data,
+    record_levels,
+    recorded_fields,
+    recorded_solve,
+    recorded_staged,
 )
 from stringsheet import (
     Domain,
@@ -21,7 +25,6 @@ from stringsheet import (
     solve,
     solve_plane_components,
     solve_time_component,
-    staged_solution,
 )
 from stringsheet.ori import LatticeTables
 
@@ -398,7 +401,9 @@ def test_plane_components_free_wave_when_coupling_vanishes():
         coupling_constant=model.a,
     )
     assert np.max(np.abs(cf.coupling(grid.t_nodes[:, None], grid.vtheta[None, :]))) < 1e-20
-    plane = solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid)
+    plane = recorded_fields(
+        solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid
+    )
     # compare against superposition of the mapped profiles
     theta_star = cmap.theta0_inverse
     for comp, col in ((0, 1), (1, 2)):
@@ -419,9 +424,9 @@ def test_staged_matches_general_solver():
     errs = {c: [] for c in range(4)}
     for denom in (128, 256):
         grid = build_grid(cmap, cmap.vtheta_period / denom, 2.0)
-        sol = solve(model, data, cmap, grid)
+        sol = recorded_solve(model, data, cmap, grid)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
-        staged = staged_solution(cf, data, cmap, grid)
+        staged = recorded_staged(cf, data, cmap, grid)
         for c in range(4):
             errs[c].append(float(np.nanmax(np.abs(sol.u[:, :, c] - staged[:, :, c]))))
     for c in range(4):
@@ -457,8 +462,8 @@ def test_staged_matches_general_solver_on_a_line(make, components):
     errs = {c: [] for c in components}
     for h in (0.05, 0.025):
         grid = build_grid(cmap, h, 2.0)
-        sol = solve(model, data, cmap, grid)
-        staged = staged_solution(cf, data, cmap, grid)
+        sol = recorded_solve(model, data, cmap, grid)
+        staged = recorded_staged(cf, data, cmap, grid)
         assert np.array_equal(np.isnan(staged), np.isnan(sol.u))
         for c in errs:
             errs[c].append(float(np.nanmax(np.abs(sol.u[:, :, c] - staged[:, :, c]))))
@@ -490,7 +495,9 @@ def test_transverse_swap_symmetry():
         cmap = build_theta0(data)
         grid = build_grid(cmap, cmap.vtheta_period / 128, 1.0)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=a)
-        out[tag] = solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid)
+        out[tag] = recorded_fields(
+            solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid
+        )
     assert np.allclose(out["base"].u[:, :, 0], out["swap"].u[:, :, 1], atol=1e-10)
     assert np.allclose(out["base"].u[:, :, 1], out["swap"].u[:, :, 0], atol=1e-10)
 
@@ -501,7 +508,7 @@ def test_staged_solve_rejects_blown_domain():
     grid = build_grid(cmap, 0.05, 4.5)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
     with pytest.raises(DomainTruncationError):
-        solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid)
+        record_levels(solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid)
 
 
 def test_time_component_free_wave_limit():
@@ -512,8 +519,8 @@ def test_time_component_free_wave_limit():
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=0.0)
     tables = LatticeTables.on_grid(cf, grid)
     plane = solve_plane_components(tables, data, cmap, grid)
-    time_f = solve_time_component(tables, data, cmap, grid, plane)
-    sol = solve(model, data, cmap, grid)
+    time_f = recorded_fields(solve_time_component(tables, data, cmap, grid, plane), grid)
+    sol = recorded_solve(model, data, cmap, grid)
     assert np.nanmax(np.abs(time_f.u - sol.u[:, :, 0])) < 1e-6
 
 
@@ -532,4 +539,4 @@ def test_staged_solve_rejects_lattice_past_the_data_window():
     with pytest.raises(WindowError):
         solve(model, data, cmap, grid)
     with pytest.raises(WindowError):
-        staged_solution(cf, data, cmap, grid)
+        recorded_staged(cf, data, cmap, grid)
