@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,7 @@ EXIT_CONSISTENCY = 5
 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted by one ``%`` operation
-LOG_ARGUMENT_BATCH = 1 << 20  # points per log-argument call of ``check --out``
-RIEMANN_BATCH = 1 << 16  # points per speed-ordering check of ``simulate``
+LEVEL_BATCH = 1 << 16  # lattice points per batch of whole levels
 
 
 def _write_csv(path: Path, header, table):
@@ -142,12 +141,19 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _level_batches(t_nodes, nodes):
+    """Consecutive slices of ``t_nodes``, each of whole levels of about
+    ``LEVEL_BATCH`` points at ``nodes`` points per level (one level at
+    least), so a lattice-wide field is never held whole."""
+    per_batch = max(1, LEVEL_BATCH // nodes)
+    for start in range(0, len(t_nodes), per_batch):
+        yield t_nodes[start : start + per_batch]
+
+
 def _log_argument_blocks(cf, t_nodes, vtheta):
     """(t, vartheta, log argument) rows level by level, evaluated pointwise
-    in batches of whole levels of about ``LOG_ARGUMENT_BATCH`` points."""
-    per_batch = max(1, LOG_ARGUMENT_BATCH // len(vtheta))
-    for start in range(0, len(t_nodes), per_batch):
-        levels = t_nodes[start : start + per_batch]
+    in level batches."""
+    for levels in _level_batches(t_nodes, len(vtheta)):
         tt = np.repeat(levels, len(vtheta))
         vv = np.tile(vtheta, len(levels))
         yield np.column_stack([tt, vv, cf.log_argument(tt, vv)])
@@ -176,14 +182,9 @@ def _snapshot_writer(model, grid, mesh, out_dir: Path):
 
 def _speed_ordering_violation(cmap, grid):
     """The first (t, vartheta, lam-, lam+) where the transported speeds lose
-    their order, or None; checked on slices of whole levels of about
-    ``RIEMANN_BATCH`` points, so the speed fields are never held whole."""
-    per_slice = max(1, RIEMANN_BATCH // len(grid.vtheta))
-    t_nodes = grid.t_nodes
-    for start in range(0, len(t_nodes), per_slice):
-        fields = transport.solve_riemann_invariants(
-            cmap, t_nodes[start : start + per_slice], grid.vtheta
-        )
+    their order, or None; checked in level batches."""
+    for levels in _level_batches(grid.t_nodes, len(grid.vtheta)):
+        fields = transport.solve_riemann_invariants(cmap, levels, grid.vtheta)
         if not fields.ordering_ok:
             return fields.violation
     return None
@@ -255,16 +256,7 @@ def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
     steps = [scenario.step * 2.0**k for k in reversed(range(levels))]
     errors = {c: [] for c in range(4)}
     for h in steps:
-        sub = Scenario(
-            metric=scenario.metric,
-            domain=scenario.domain,
-            grid={"h": h, "t_max": scenario.t_max},
-            initial_data=scenario.initial_data,
-            output=scenario.output,
-            thresholds=scenario.thresholds,
-            base_dir=scenario.base_dir,
-            raw=scenario.raw,
-        )
+        sub = replace(scenario, grid={"h": h, "t_max": scenario.t_max})
         model, data = _prepare(sub)
         cmap = transport.build_theta0(data)
         grid = lightcone.build_grid(cmap, h, sub.t_max)

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .config import DEFAULT_THRESHOLDS
 from .errors import ConfigError, DomainTruncationError
 from .lightcone import LightconeGrid, corners, initial_lightcone_data, march
 from .transport import CoordinateMap
-from .worldsheet import StringInitialData
+from .worldsheet import Profile, StringInitialData
 
 __all__ = [
     "OriClosedForm",
@@ -148,21 +147,16 @@ class OriClosedForm:
         self.a = coupling_constant
         self.eps_log = float(eps_log)
         psi3 = 0.5 * (np.asarray(p30_values) + np.asarray(q30_values))
-        if periodic:
-            x = np.append(self.vtheta_nodes, self.vtheta_nodes[0] + period)
-            mk = lambda v: CubicSpline(x, np.append(v, v[:1]), bc_type="periodic")
-        else:
-            x = self.vtheta_nodes
-            mk = lambda v: CubicSpline(x, v)
-        self._phi3 = mk(np.asarray(phi3_values, dtype=float))
-        self._psi3 = mk(psi3)
-        self._p30 = mk(np.asarray(p30_values, dtype=float))
-        self._q30 = mk(np.asarray(q30_values, dtype=float))
+        x, ring = self.vtheta_nodes, period if periodic else None
+        self.phi3_bar = Profile(x, phi3_values, ring)
+        self.psi3_bar = Profile(x, psi3, ring)
+        self.p30_bar = Profile(x, p30_values, ring)
+        self.q30_bar = Profile(x, q30_values, ring)
         self.consistency_residual = float(
             np.max(
                 np.abs(
                     0.5 * (np.asarray(q30_values) - np.asarray(p30_values))
-                    - self._phi3(self.vtheta_nodes, nu=1)
+                    - self.phi3_bar(x, nu=1)
                 )
             )
         )
@@ -212,12 +206,7 @@ class OriClosedForm:
             period = None
         phi = np.asarray(phi3_bar(vth), dtype=float) + np.zeros_like(vth)
         psi = np.asarray(psi3_bar(vth), dtype=float) + np.zeros_like(vth)
-        if periodic:
-            x = np.append(vth, lo + period)
-            sp = CubicSpline(x, np.append(phi, phi[:1]), bc_type="periodic")
-        else:
-            sp = CubicSpline(vth, phi)
-        dphi = sp(vth, nu=1)
+        dphi = Profile(vth, phi, period)(vth, nu=1)
         return cls(
             vtheta_nodes=vth,
             phi3_values=phi,
@@ -228,27 +217,6 @@ class OriClosedForm:
             coupling_constant=coupling_constant,
             eps_log=eps_log,
         )
-
-    # -- profile evaluation --------------------------------------------------
-
-    def _reduce(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.periodic:
-            lo = self.vtheta_nodes[0]
-            return lo + np.mod(s - lo, self.period)
-        return np.clip(s, self.vtheta_nodes[0], self.vtheta_nodes[-1])
-
-    def phi3_bar(self, s):
-        return self._phi3(self._reduce(s))
-
-    def psi3_bar(self, s):
-        return self._psi3(self._reduce(s))
-
-    def p30_bar(self, s):
-        return self._p30(self._reduce(s))
-
-    def q30_bar(self, s):
-        return self._q30(self._reduce(s))
 
     # -- cumulative tables -----------------------------------------------------
 

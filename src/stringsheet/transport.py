@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import CausalityError, NumericalConsistencyError
-from .worldsheet import StringInitialData
+from .worldsheet import Profile, StringInitialData
 
 __all__ = [
     "CoordinateMap",
@@ -33,13 +33,32 @@ __all__ = [
 ]
 
 
+def _continue(table, nodes, period, image_period, x):
+    """Evaluate a monotone table past its nodes: on a ring it winds, gaining
+    ``image_period`` per ``period``; on a line it continues linearly with its
+    edge slopes."""
+    x = np.asarray(x, dtype=float)
+    if period is not None:
+        k = np.floor((x - nodes[0]) / period)
+        return table(x - k * period) + k * image_period
+    lo, hi = nodes[0], nodes[-1]
+    out = table(np.clip(x, lo, hi))
+    slo = float(table(lo, nu=1))
+    shi = float(table(hi, nu=1))
+    out = np.where(x < lo, table(lo) + slo * (x - lo), out)
+    out = np.where(x > hi, table(hi) + shi * (x - hi), out)
+    return out
+
+
 @dataclass
 class CoordinateMap:
     """Monotone tables of the straightening coordinate and speed profiles.
 
     For closed strings the map winds: theta0(theta + L) = theta0(theta) + P
-    where P is the image period; evaluations reduce arguments accordingly.
-    Line-domain speed profiles extrapolate as constants outside the window.
+    where P is the image period; on a line it continues linearly with its
+    edge slopes.  The speed profiles ``lam_minus_bar`` and ``lam_plus_bar``
+    are functions of the straightened coordinate that wrap on a ring and
+    hold their edge values on a line.
     """
 
     theta_nodes: np.ndarray
@@ -49,64 +68,14 @@ class CoordinateMap:
     vtheta_period: Optional[float]
     _fwd: PchipInterpolator
     _inv: PchipInterpolator
-    _prof_minus: CubicSpline
-    _prof_plus: CubicSpline
-
-    @property
-    def window(self):
-        return float(self.vtheta_nodes[0]), float(
-            self.vtheta_nodes[0] + self.vtheta_period
-            if self.periodic
-            else self.vtheta_nodes[-1]
-        )
-
-    # -- coordinate tables -------------------------------------------------
+    lam_minus_bar: Profile
+    lam_plus_bar: Profile
 
     def theta0(self, theta):
-        th = np.asarray(theta, dtype=float)
-        if self.periodic:
-            lo = self.theta_nodes[0]
-            k = np.floor((th - lo) / self.theta_period)
-            rem = th - k * self.theta_period
-            return self._fwd(rem) + k * self.vtheta_period
-        lo, hi = self.theta_nodes[0], self.theta_nodes[-1]
-        out = self._fwd(np.clip(th, lo, hi))
-        # linear continuation with the edge slope of the integrand
-        slo = float(self._fwd(lo, nu=1))
-        shi = float(self._fwd(hi, nu=1))
-        out = np.where(th < lo, self._fwd(lo) + slo * (th - lo), out)
-        out = np.where(th > hi, self._fwd(hi) + shi * (th - hi), out)
-        return out
+        return _continue(self._fwd, self.theta_nodes, self.theta_period, self.vtheta_period, theta)
 
     def theta0_inverse(self, vtheta):
-        s = np.asarray(vtheta, dtype=float)
-        if self.periodic:
-            lo = self.vtheta_nodes[0]
-            k = np.floor((s - lo) / self.vtheta_period)
-            rem = s - k * self.vtheta_period
-            return self._inv(rem) + k * self.theta_period
-        lo, hi = self.vtheta_nodes[0], self.vtheta_nodes[-1]
-        out = self._inv(np.clip(s, lo, hi))
-        slo = float(self._inv(lo, nu=1))
-        shi = float(self._inv(hi, nu=1))
-        out = np.where(s < lo, self._inv(lo) + slo * (s - lo), out)
-        out = np.where(s > hi, self._inv(hi) + shi * (s - hi), out)
-        return out
-
-    # -- speed profiles in the straightened coordinate ---------------------
-
-    def _reduce(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.periodic:
-            lo = self.vtheta_nodes[0]
-            return lo + np.mod(s - lo, self.vtheta_period)
-        return np.clip(s, self.vtheta_nodes[0], self.vtheta_nodes[-1])
-
-    def lam_minus_bar(self, s):
-        return self._prof_minus(self._reduce(s))
-
-    def lam_plus_bar(self, s):
-        return self._prof_plus(self._reduce(s))
+        return _continue(self._inv, self.vtheta_nodes, self.vtheta_period, self.theta_period, vtheta)
 
 
 def build_theta0(data: StringInitialData) -> CoordinateMap:
@@ -131,28 +100,18 @@ def build_theta0(data: StringInitialData) -> CoordinateMap:
     cum = cum - cum[anchor_idx]
     if np.any(np.diff(cum) <= 0.0):
         raise CausalityError("straightening coordinate is not strictly increasing")
-    fwd = PchipInterpolator(theta_ext, cum)
-    inv = PchipInterpolator(cum, theta_ext)
     vtheta_nodes = cum[: len(theta)] if periodic else cum
-    if periodic:
-        period = float(cum[-1] - cum[0])
-        x = np.append(vtheta_nodes, vtheta_nodes[0] + period)
-        pm = CubicSpline(x, np.append(data.lam_minus, data.lam_minus[0]), bc_type="periodic")
-        pp = CubicSpline(x, np.append(data.lam_plus, data.lam_plus[0]), bc_type="periodic")
-    else:
-        period = None
-        pm = CubicSpline(vtheta_nodes, data.lam_minus)
-        pp = CubicSpline(vtheta_nodes, data.lam_plus)
+    period = float(cum[-1] - cum[0]) if periodic else None
     return CoordinateMap(
         theta_nodes=theta,
         vtheta_nodes=vtheta_nodes,
         periodic=periodic,
-        theta_period=data.domain.length if periodic else None,
+        theta_period=data.domain.length,
         vtheta_period=period,
-        _fwd=fwd,
-        _inv=inv,
-        _prof_minus=pm,
-        _prof_plus=pp,
+        _fwd=PchipInterpolator(theta_ext, cum),
+        _inv=PchipInterpolator(cum, theta_ext),
+        lam_minus_bar=Profile(vtheta_nodes, data.lam_minus, period),
+        lam_plus_bar=Profile(vtheta_nodes, data.lam_plus, period),
     )
 
 
@@ -170,43 +129,25 @@ def map_from_profiles(
     d theta / d vtheta = (lam+ - lam-) / 2.
     """
     lo, hi = map(float, vtheta_window)
-    if periodic:
-        vth = np.linspace(lo, hi, nodes, endpoint=False)
-        vth_ext = np.append(vth, hi)
-    else:
-        vth = np.linspace(lo, hi, nodes)
-        vth_ext = vth
+    vth_ext = np.linspace(lo, hi, nodes + 1 if periodic else nodes)
     lm = np.asarray(lam_minus_bar(vth_ext), dtype=float)
     lp = np.asarray(lam_plus_bar(vth_ext), dtype=float)
     if np.any(lp - lm <= 0.0):
         raise CausalityError("profiles must satisfy lam- < lam+ everywhere")
+    if periodic and not (np.isclose(lm[0], lm[-1]) and np.isclose(lp[0], lp[-1])):
+        raise CausalityError("periodic profiles must match at the seam")
     theta_ext = cumulative_simpson((lp - lm) / 2.0, x=vth_ext, initial=0.0)
-    fwd = PchipInterpolator(theta_ext, vth_ext)
-    inv = PchipInterpolator(vth_ext, theta_ext)
-    if periodic:
-        period = hi - lo
-        pm = CubicSpline(vth_ext, lm, bc_type="periodic") if np.isclose(lm[0], lm[-1]) else None
-        pp = CubicSpline(vth_ext, lp, bc_type="periodic") if np.isclose(lp[0], lp[-1]) else None
-        if pm is None or pp is None:
-            raise CausalityError("periodic profiles must match at the seam")
-        theta_period = float(theta_ext[-1] - theta_ext[0])
-        vnodes = vth
-    else:
-        period = None
-        theta_period = None
-        pm = CubicSpline(vth_ext, lm)
-        pp = CubicSpline(vth_ext, lp)
-        vnodes = vth_ext
+    period = hi - lo if periodic else None
     return CoordinateMap(
-        theta_nodes=theta_ext[: len(vnodes)],
-        vtheta_nodes=vnodes,
+        theta_nodes=theta_ext[:nodes],
+        vtheta_nodes=vth_ext[:nodes],
         periodic=periodic,
-        theta_period=theta_period,
+        theta_period=float(theta_ext[-1] - theta_ext[0]) if periodic else None,
         vtheta_period=period,
-        _fwd=fwd,
-        _inv=inv,
-        _prof_minus=pm,
-        _prof_plus=pp,
+        _fwd=PchipInterpolator(theta_ext, vth_ext),
+        _inv=PchipInterpolator(vth_ext, theta_ext),
+        lam_minus_bar=Profile(vth_ext[:nodes], lm[:nodes], period),
+        lam_plus_bar=Profile(vth_ext[:nodes], lp[:nodes], period),
     )
 
 

@@ -14,7 +14,8 @@ which are strictly ordered exactly when the state is timelike
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,6 @@ from .errors import (
     ConfigError,
     DegeneracyError,
     DimensionMismatch,
-    WindowError,
 )
 from .metrics import MetricModel
 
@@ -36,6 +36,7 @@ __all__ = [
     "CharacteristicSpeeds",
     "NullPair",
     "Domain",
+    "Profile",
     "StringInitialData",
     "OrderingReport",
     "EigenSystem",
@@ -334,13 +335,43 @@ def fourth_order_derivative(values: np.ndarray, spacing: float, periodic: bool) 
     return out
 
 
+class Profile:
+    """Cubic spline of samples y at nodes x along axis 0, extended past its
+    nodes by the domain's rule.
+
+    With a period the spline closes over one period and its argument wraps
+    as lo + mod(s - lo, period) (a ring).  With ``period=None`` it is
+    not-a-knot and its argument is clipped to [x[0], x[-1]], so the curve
+    holds its edge values (a line).  ``profile(s, nu)`` is the value or the
+    nu-th derivative.
+    """
+
+    def __init__(self, x, y, period):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self.lo, self.hi, self.period = x[0], x[-1], period
+        if period is None:
+            self._spline = CubicSpline(x, y, axis=0)
+        else:
+            x = np.append(x, x[0] + period)
+            y = np.concatenate([y, y[:1]], axis=0)
+            self._spline = CubicSpline(x, y, axis=0, bc_type="periodic")
+
+    def __call__(self, s, nu: int = 0):
+        s = np.asarray(s, dtype=float)
+        if self.period is None:
+            return self._spline(np.clip(s, self.lo, self.hi), nu)
+        return self._spline(self.lo + np.mod(s - self.lo, self.period), nu)
+
+
 @dataclass
 class StringInitialData:
     """Sampled initial position and velocity with the derived functionals.
 
     For periodic domains the grid covers one period without the duplicate
     endpoint; interpolants wrap.  Position data must itself be periodic
-    (winding configurations are rejected at construction).
+    (winding configurations are rejected at construction).  The position
+    and one-form interpolants are built on first use.
     """
 
     theta: np.ndarray
@@ -353,56 +384,22 @@ class StringInitialData:
     lagrangian_density: np.ndarray
     p0: np.ndarray
     q0: np.ndarray
-    _splines: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.phi.shape[1]
 
-    def _window(self):
-        if self.domain.periodic:
-            return self.theta[0], self.theta[0] + self.domain.length
-        return self.theta[0], self.theta[-1]
+    @cached_property
+    def phi_at(self) -> Profile:
+        return Profile(self.theta, self.phi, self.domain.length)
 
-    def _reduce(self, theta, strict: bool):
-        th = np.asarray(theta, dtype=float)
-        lo, hi = self._window()
-        if self.domain.periodic:
-            return lo + np.mod(th - lo, self.domain.length)
-        span = hi - lo
-        if strict and np.any((th < lo - 1e-9 * span) | (th > hi + 1e-9 * span)):
-            raise WindowError(
-                f"evaluation point outside data window [{lo}, {hi}]"
-            )
-        return np.clip(th, lo, hi)
+    @cached_property
+    def p0_at(self) -> Profile:
+        return Profile(self.theta, self.p0, self.domain.length)
 
-    def _spline(self, key: str, table: np.ndarray) -> CubicSpline:
-        if key not in self._splines:
-            if self.domain.periodic:
-                x = np.append(self.theta, self.theta[0] + self.domain.length)
-                y = np.concatenate([table, table[:1]], axis=0)
-                self._splines[key] = CubicSpline(x, y, axis=0, bc_type="periodic")
-            else:
-                self._splines[key] = CubicSpline(self.theta, table, axis=0)
-        return self._splines[key]
-
-    def phi_at(self, theta, strict: bool = True):
-        return self._spline("phi", self.phi)(self._reduce(theta, strict))
-
-    def psi_at(self, theta, strict: bool = True):
-        return self._spline("psi", self.psi)(self._reduce(theta, strict))
-
-    def phi_theta_at(self, theta, strict: bool = True):
-        return self._spline("phi", self.phi)(self._reduce(theta, strict), nu=1)
-
-    def lam_minus_at(self, theta, strict: bool = False):
-        return self._spline("lam_minus", self.lam_minus)(self._reduce(theta, strict))
-
-    def p0_at(self, theta, strict: bool = True):
-        return self._spline("p0", self.p0)(self._reduce(theta, strict))
-
-    def q0_at(self, theta, strict: bool = True):
-        return self._spline("q0", self.q0)(self._reduce(theta, strict))
+    @cached_property
+    def q0_at(self) -> Profile:
+        return Profile(self.theta, self.q0, self.domain.length)
 
 
 def _check_uniform(theta: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -309,6 +310,40 @@ def test_streamed_compare_errors_equal_whole_lattice_maxima(tmp_path, make):
         cf = ori.OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
         diff = np.abs(sol.u - recorded_staged(cf, data, cmap, grid))
         assert np.array_equal(row, [np.nanmax(diff[:, :, c]) for c in range(4)])
+
+
+@pytest.fixture(scope="module")
+def smooth_log_argument(tmp_path_factory):
+    """``log_argument.csv`` of ``check ori_smooth --out`` in one batch."""
+    out_dir = tmp_path_factory.mktemp("log_argument")
+    assert main(["check", str(SCENARIO_DIR / "ori_smooth.json"), "--out", str(out_dir)]) == 0
+    return (out_dir / "log_argument.csv").read_bytes()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_check_out_is_independent_of_the_level_batch(
+    tmp_path, monkeypatch, smooth_log_argument, levels
+):
+    # ori_smooth has 256 nodes per level and 204 levels
+    monkeypatch.setattr(cli, "LEVEL_BATCH", 256 * levels + 100)
+    assert len(next(cli._level_batches(np.arange(204.0), 256))) == levels
+    assert main(["check", str(SCENARIO_DIR / "ori_smooth.json"), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "log_argument.csv").read_bytes() == smooth_log_argument
+
+
+def test_speed_ordering_batches_find_the_whole_lattice_violation(monkeypatch):
+    # the data of test_ordering_violation_detected_at_predicted_time, one
+    # level per batch against the whole lattice at once
+    lam_m = lambda s: -np.tanh(0.8 * s)
+    lam_p = lambda s: -np.tanh(0.8 * s) + 0.2
+    cmap = transport.map_from_profiles(lam_m, lam_p, (-8.0, 8.0), nodes=801)
+    t = 0.02 * np.arange(int(6.0 / 0.02) + 1)
+    vth = np.linspace(-8.0, 8.0, 801)
+    whole = transport.solve_riemann_invariants(cmap, t, vth)
+    assert not whole.ordering_ok
+    monkeypatch.setattr(cli, "LEVEL_BATCH", 1)
+    grid = SimpleNamespace(t_nodes=t, vtheta=vth)
+    assert cli._speed_ordering_violation(cmap, grid) == whole.violation
 
 
 # ---------------------------------------------------------------------------

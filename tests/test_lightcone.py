@@ -18,6 +18,7 @@ from stringsheet import (
     solve,
 )
 from stringsheet.lightcone import advance_diagonal, relative_null_residuals
+from stringsheet.worldsheet import Profile
 
 
 def solved_minkowski(nodes=256, denom=256, t_max=2.0, unit_speeds=True, wave_amp=0.1):
@@ -67,8 +68,8 @@ def test_initial_line_unit_speed_relations():
     grid = build_grid(cmap, 2.0 * np.pi / 128, 1.0)
     u0, p0, q0 = initial_lightcone_data(data, cmap, grid)
     th = grid.vtheta  # identity map
-    psi = data.psi_at(th)
-    dphi = data.phi_theta_at(th)
+    psi = Profile(data.theta, data.psi, data.domain.length)(th)
+    dphi = data.phi_at(th, nu=1)
     # off-node evaluation mixes the stencil and spline derivatives
     assert np.max(np.abs(p0 - (psi - dphi))) < 2e-6
     assert np.max(np.abs(q0 - (psi + dphi))) < 2e-6

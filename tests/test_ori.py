@@ -27,6 +27,7 @@ from stringsheet import (
     solve_time_component,
 )
 from stringsheet.ori import LatticeTables
+from stringsheet.worldsheet import Profile
 
 
 def fourier_profiles(rng, n_modes=3, amp=0.25):
@@ -369,13 +370,14 @@ def test_straightened_velocity_differs_from_naive_composition():
     cmap = build_theta0(data)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=0.5)
     theta_star = cmap.theta0_inverse(cmap.vtheta_nodes)
-    naive = data.psi_at(theta_star)[:, 3]
+    naive = Profile(data.theta, data.psi, data.domain.length)(theta_star)[:, 3]
     actual = cf.psi3_bar(cmap.vtheta_nodes)
     drift = 0.5 * (data.lam_plus + data.lam_minus)
     assert np.max(np.abs(drift)) > 1e-3  # scenario really has mean drift
     assert np.max(np.abs(actual - naive)) > 1e-4
     # and the difference is exactly the drift times the position derivative
-    recon = naive + data.lam_minus_at(theta_star) * data.phi_theta_at(theta_star)[:, 3]
+    lam_minus = Profile(data.theta, data.lam_minus, data.domain.length)(theta_star)
+    recon = naive + lam_minus * data.phi_at(theta_star, nu=1)[:, 3]
     assert np.allclose(cf.p30_bar(cmap.vtheta_nodes), recon, atol=1e-7)
 
 

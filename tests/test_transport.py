@@ -52,6 +52,25 @@ def test_theta0_closed_form_antiderivative():
     assert np.max(np.abs(cmap.theta0(th) - (th + th**3 / 3.0))) < 1e-8
 
 
+def test_theta0_line_continues_linearly_past_both_ends():
+    # the integrand 1 + theta^2 has edge derivative 26 at theta = +-5; past
+    # each end the map and its inverse continue with their edge slopes,
+    # which are second-order one-sided estimates of 26 and 1/26
+    h = 0.02
+    data = line_data_with_speeds(lambda th: 2.0 / (1.0 + th**2), n=501)
+    cmap = build_theta0(data)
+    dist = np.array([1e-9, 0.5, 1.0, 3.0])
+    for edge, out in ((-5.0, -1.0), (5.0, 1.0)):
+        inside = cmap.theta0(edge)
+        x = edge + out * dist
+        outside = cmap.theta0(x)
+        assert abs(outside[0] - inside) < 1e-7  # continuous at the edge
+        slope = (outside - inside) / (x - edge)
+        assert np.allclose(slope[1:], slope[1], rtol=1e-12, atol=0.0)
+        assert slope[1] == pytest.approx(26.0, rel=1e-4)
+        assert np.all(np.abs(cmap.theta0_inverse(outside) - x) <= h**2 * dist)
+
+
 def test_theta0_monotone_and_roundtrip(rng):
     _, data = circle_ori_data(nodes=128)
     cmap = build_theta0(data)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from conftest import (
     circle_ori_data,
@@ -29,6 +30,7 @@ from stringsheet import (
 )
 from stringsheet.worldsheet import (
     InducedMetric,
+    Profile,
     fourth_order_derivative,
     linear_degeneracy_residuals_fd,
     null_residual,
@@ -340,6 +342,51 @@ def test_rejects_nonuniform_grid():
     psi = np.zeros((5, 3))
     with pytest.raises(ConfigError, match="uniform"):
         build_initial_data(model, th, phi, psi, Domain.line())
+
+
+# ---------------------------------------------------------------------------
+# sampled profiles
+# ---------------------------------------------------------------------------
+
+
+def profile_oracle(x, y, period, s, nu):
+    """The construction each module wrote out for itself before ``Profile``:
+    append the seam and close the spline on a ring, clip on a line."""
+    if period is None:
+        return CubicSpline(x, y, axis=0)(np.clip(s, x[0], x[-1]), nu=nu)
+    xs = np.append(x, x[0] + period)
+    ys = np.concatenate([y, y[:1]], axis=0)
+    spline = CubicSpline(xs, ys, axis=0, bc_type="periodic")
+    return spline(x[0] + np.mod(s - x[0], period), nu=nu)
+
+
+@given(
+    nodes=st.integers(5, 40),
+    lo=st.floats(-10.0, 10.0),
+    spacing=st.floats(0.01, 1.0),
+    ring=st.booleans(),
+    columns=st.sampled_from([None, 4]),
+    nu=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_profile_matches_spline_oracle_bit_for_bit(nodes, lo, spacing, ring, columns, nu, seed):
+    rng = np.random.default_rng(seed)
+    x = lo + spacing * np.arange(nodes)
+    y = rng.normal(size=nodes if columns is None else (nodes, columns))
+    period = nodes * spacing if ring else None
+    span = nodes * spacing
+    # inside, past both ends and several periods away
+    s = np.concatenate(
+        [
+            rng.uniform(x[0], x[-1], 16),
+            x,
+            x[0] - rng.uniform(0.0, 4.0 * span, 8),
+            x[-1] + rng.uniform(0.0, 4.0 * span, 8),
+        ]
+    )
+    got = Profile(x, y, period)(s, nu=nu)
+    assert got.shape == s.shape + y.shape[1:]
+    assert np.array_equal(got, profile_oracle(x, y, period, s, nu))
 
 
 # ---------------------------------------------------------------------------
