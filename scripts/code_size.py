@@ -1,4 +1,6 @@
-"""Print the size of the library: lines in src/ and settable parameters.
+"""Print the size of the library: lines in src/ and settable parameters,
+and lines in tests/ with the src+tests total, so that code moved between
+the library and the tests shows as a move.
 
 A settable parameter is a function parameter with a default value or a
 dataclass field with a default value, counted over every module under
@@ -11,7 +13,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -37,12 +39,17 @@ def settable_parameters(tree: ast.AST) -> int:
     return count
 
 
+def lines_under(directory: str) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (ROOT / directory).rglob("*.py"))
+
+
 def main() -> None:
-    files = sorted(SRC.rglob("*.py"))
-    lines = sum(len(f.read_text().splitlines()) for f in files)
-    params = sum(settable_parameters(ast.parse(f.read_text())) for f in files)
-    print(f"src lines            : {lines}")
+    src, tests = lines_under("src"), lines_under("tests")
+    params = sum(settable_parameters(ast.parse(f.read_text())) for f in (ROOT / "src").rglob("*.py"))
+    print(f"src lines            : {src}")
     print(f"settable parameters  : {params}")
+    print(f"tests lines          : {tests}")
+    print(f"src+tests lines      : {src + tests}")
 
 
 if __name__ == "__main__":

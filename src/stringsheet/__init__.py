@@ -1,11 +1,12 @@
 """Relativistic string worldsheets on characteristic lattices.
 
 Simulates the motion of a one-dimensional extended object in a curved
-Lorentzian space-time: induced-metric kinematics, exact transport of the
-characteristic speeds in a straightening coordinate, a second-order
-characteristic-rectangle solver for the light-cone form of the equations of
-motion, and closed-form machinery (solution, global-existence criterion,
-blow-up time) for the plane-fronted vacuum family.
+Lorentzian space-time: characteristic speeds and null data of sampled
+initial curves, exact transport of the speeds in a straightening
+coordinate, a second-order characteristic-rectangle solver for the
+light-cone form of the equations of motion, and closed-form machinery
+(solution, global-existence criterion, blow-up time) for the plane-fronted
+vacuum family.
 """
 
 from .config import DEFAULT_THRESHOLDS, Thresholds
@@ -27,13 +28,7 @@ from .lightcone import (
     initial_lightcone_data,
     solve,
 )
-from .metrics import (
-    Minkowski,
-    OriGeneral,
-    OriQuadratic,
-    finite_difference_christoffels,
-    verify_christoffels_numerically,
-)
+from .metrics import Minkowski, OriGeneral, OriQuadratic
 from .ori import (
     CorollaryFlags,
     ExistenceReport,
@@ -46,27 +41,8 @@ from .transport import (
     CoordinateMap,
     build_inverse_map,
     build_theta0,
-    conservation_residual,
-    map_from_profiles,
-    rk4_transport_check,
     solve_riemann_invariants,
 )
-from .worldsheet import (
-    CharacteristicSpeeds,
-    Domain,
-    InducedMetric,
-    NullPair,
-    StateVector,
-    StringInitialData,
-    build_initial_data,
-    characteristic_speeds,
-    check_physicality,
-    eigen_system,
-    induced_metric,
-    linear_degeneracy_residuals,
-    null_pair,
-    smallness_flag,
-    system_matrix,
-)
+from .worldsheet import Domain, StringInitialData, build_initial_data, check_physicality
 
 __version__ = "0.1.0"

@@ -126,7 +126,7 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
     verdict = cf.existence_check(scenario.t_max)
     flags = cf.corollary_flags(scenario.thresholds.l1_threshold)
     print(f"existence criterion: {verdict.describe()}")
-    for name, value in flags.as_dict().items():
+    for name, value in asdict(flags).items():
         print(f"  flag {name:<18}: {value}")
     if out_dir is not None:
         t_nodes = scenario.step * np.arange(int(scenario.t_max / scenario.step) + 1)

@@ -5,7 +5,7 @@ them in a single place and runs stay self-describing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,6 @@ class Thresholds:
     monitor_ceiling: float = 1e-3
     # Any field component beyond this magnitude is treated as blown up.
     field_ceiling: float = 1e8
-
-    def with_overrides(self, **kwargs) -> "Thresholds":
-        return replace(self, **kwargs)
 
 
 DEFAULT_THRESHOLDS = Thresholds()

@@ -131,10 +131,6 @@ class LightconeSolution:
     levels_computed: int = 0
 
     @property
-    def t_nodes(self) -> np.ndarray:
-        return self.grid.t_nodes
-
-    @property
     def max_null_residual(self) -> float:
         m = self.levels_computed
         return float(

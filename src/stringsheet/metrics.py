@@ -1,9 +1,10 @@
 """Lorentzian metric backends.
 
-Every model evaluates the ambient metric g_AB and its connection
-coefficients Gamma^C_AB at a space-time point.  For the four dimensional
-plane-fronted family the coordinate ordering is fixed as
-(t, x, y, z) <-> indices (0, 1, 2, 3), and the line element is
+Every model evaluates the ambient metric g_AB at a space-time point and
+the contraction Gamma^C_AB p^A q^B of its connection coefficients, the
+source of the light-cone system.  For the four dimensional plane-fronted
+family the coordinate ordering is fixed as (t, x, y, z) <-> indices
+(0, 1, 2, 3), and the line element is
 
     ds^2 = dx^2 + dy^2 - 2 dz dt + (f(x, y, z) - t) dz^2
 
@@ -17,16 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionMismatch
+from .errors import DimensionMismatch
 
 __all__ = [
     "MetricModel",
     "Minkowski",
     "OriGeneral",
     "OriQuadratic",
-    "finite_difference_christoffels",
-    "verify_christoffels_numerically",
-    "lorentzian_signature_ok",
 ]
 
 
@@ -41,35 +39,13 @@ def _as_points(points, dim: int) -> np.ndarray:
     return pts
 
 
-def lorentzian_signature_ok(g: np.ndarray) -> bool:
-    """True when the symmetric matrix has exactly one negative eigenvalue."""
-    eig = np.linalg.eigvalsh(np.asarray(g, dtype=float))
-    return int(np.sum(eig < 0.0)) == 1 and not np.any(eig == 0.0)
-
-
 class MetricModel:
-    """Shared interface: metric, connection, and their point derivatives."""
+    """Shared interface: ``metric(points)``, the metric g_AB, and
+    ``contract_pq(u, p, q)``, Gamma^C_AB(u) p^A q^B, the source of the
+    light-cone system."""
 
     dim: int
     name: str
-
-    def metric(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-    def christoffels(self, points) -> np.ndarray:
-        """Gamma[..., c, a, b] with the first tensor index upper."""
-        raise NotImplementedError
-
-    def metric_partials(self, points) -> np.ndarray:
-        """dg[..., c, a, b] = d g_ab / d u^c."""
-        raise NotImplementedError
-
-    def contract_pq(self, u, p, q) -> np.ndarray:
-        """Gamma^C_AB(u) p^A q^B, the source of the light-cone system."""
-        gamma = self.christoffels(u)
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return np.einsum("...cab,...a,...b->...c", gamma, p, q)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name})"
@@ -91,14 +67,6 @@ class Minkowski(MetricModel):
         pts = _as_points(points, self.dim)
         shape = pts.shape[:-1] + (self.dim, self.dim)
         return np.broadcast_to(self._eta, shape).copy()
-
-    def christoffels(self, points) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        return np.zeros(pts.shape[:-1] + (self.dim,) * 3)
-
-    def metric_partials(self, points) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        return np.zeros(pts.shape[:-1] + (self.dim,) * 3)
 
     def contract_pq(self, u, p, q) -> np.ndarray:
         _as_points(u, self.dim)
@@ -152,35 +120,6 @@ class OriGeneral(MetricModel):
         g[..., 3, 3] = f - t
         return g
 
-    def christoffels(self, points) -> np.ndarray:
-        pts = _as_points(points, 4)
-        # The time appearing in the 33-coefficient is the target-space time
-        # coordinate, i.e. the point's own first component.
-        t = pts[..., 0]
-        f, fx, fy, fz = self._profile(pts)
-        gamma = np.zeros(pts.shape[:-1] + (4, 4, 4))
-        gamma[..., 0, 0, 3] = 0.5
-        gamma[..., 0, 3, 0] = 0.5
-        gamma[..., 0, 1, 3] = -0.5 * fx
-        gamma[..., 0, 3, 1] = -0.5 * fx
-        gamma[..., 0, 2, 3] = -0.5 * fy
-        gamma[..., 0, 3, 2] = -0.5 * fy
-        gamma[..., 0, 3, 3] = 0.5 * (t - f - fz)
-        gamma[..., 1, 3, 3] = -0.5 * fx
-        gamma[..., 2, 3, 3] = -0.5 * fy
-        gamma[..., 3, 3, 3] = -0.5
-        return gamma
-
-    def metric_partials(self, points) -> np.ndarray:
-        pts = _as_points(points, 4)
-        _, fx, fy, fz = self._profile(pts)
-        dg = np.zeros(pts.shape[:-1] + (4, 4, 4))
-        dg[..., 0, 3, 3] = -1.0
-        dg[..., 1, 3, 3] = fx
-        dg[..., 2, 3, 3] = fy
-        dg[..., 3, 3, 3] = fz
-        return dg
-
     def contract_pq(self, u, p, q) -> np.ndarray:
         pts = _as_points(u, 4)
         p = np.asarray(p, dtype=float)
@@ -225,32 +164,3 @@ class OriQuadratic(OriGeneral):
             name=f"ori_quadratic(a={a})",
         )
 
-
-def finite_difference_christoffels(model: MetricModel, point, step: float) -> np.ndarray:
-    """Connection coefficients from the standard metric-derivative formula,
-    with central differences.  Independent oracle for the analytic tensors."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    pt = _as_points(point, model.dim).reshape(model.dim)
-    dim = model.dim
-    g = model.metric(pt)
-    det = np.linalg.det(g)
-    if abs(det) < 1e-13:
-        raise DegeneracyError(f"metric is singular at {pt} (det={det:.3e})")
-    ginv = np.linalg.inv(g)
-    dg = np.empty((dim, dim, dim))
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = step
-        dg[a] = (model.metric(pt + e) - model.metric(pt - e)) / (2.0 * step)
-    # dg[c, a, b] = d_c g_ab; bracket[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
-    bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    return 0.5 * np.einsum("cd,dab->cab", ginv, bracket)
-
-
-def verify_christoffels_numerically(model: MetricModel, point, step: float = 1e-4) -> float:
-    """Max absolute difference between analytic and finite-difference
-    connection coefficients; O(step^2) for smooth profiles."""
-    analytic = model.christoffels(np.asarray(point, dtype=float))
-    numeric = finite_difference_christoffels(model, point, step)
-    return float(np.max(np.abs(analytic - numeric)))

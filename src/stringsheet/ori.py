@@ -21,7 +21,7 @@ derivative of the position profile.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,32 +102,18 @@ class CorollaryFlags:
     q30_l1_small: bool
 
     def any_true(self) -> bool:
-        return any(
-            (
-                self.psi3_nonpositive,
-                self.p30_nonpositive,
-                self.q30_nonpositive,
-                self.p30_l1_small,
-                self.q30_l1_small,
-            )
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "psi3_nonpositive": self.psi3_nonpositive,
-            "p30_nonpositive": self.p30_nonpositive,
-            "q30_nonpositive": self.q30_nonpositive,
-            "p30_l1_small": self.p30_l1_small,
-            "q30_l1_small": self.q30_l1_small,
-        }
+        return any(astuple(self))
 
 
 class OriClosedForm:
     """Closed-form z-component and existence criterion.
 
     Holds the straightened profiles (position phi3, velocity psi3 and the
-    two one-form traces p30 = psi3 - d phi3, q30 = psi3 + d phi3) together
-    with cumulative tables of the three equivalent integrand forms.
+    two one-form traces p30 = psi3 - d phi3, q30 = psi3 + d phi3) and a
+    cumulative table of the velocity integrand psi3 e^{-phi3/2} (at 2s, in
+    s = vtheta/2), built at construction.  The log argument is the
+    symmetrized velocity form of the closed form, the average of its
+    integrals along xi and along eta.
     """
 
     def __init__(
@@ -160,7 +146,17 @@ class OriClosedForm:
                 )
             )
         )
-        self._build_tables()
+        lo = x[0] / 2.0
+        hi = (x[0] + period) / 2.0 if periodic else x[-1] / 2.0
+        self._s_nodes = np.linspace(lo, hi, max(257, 4 * len(x) + 1))
+        self._s_period = hi - lo if periodic else None
+        seg = _segment_integrals(self._integrand, self._s_nodes)
+        self._table = np.concatenate([[0.0], np.cumsum(seg)])
+        # slopes of the linear continuation past a line window
+        self._edge_slopes = (
+            float(self._integrand(self._s_nodes[:1])[0]),
+            float(self._integrand(self._s_nodes[-1:])[0]),
+        )
 
     # -- construction --------------------------------------------------------
 
@@ -218,54 +214,26 @@ class OriClosedForm:
             eps_log=eps_log,
         )
 
-    # -- cumulative tables -----------------------------------------------------
+    # -- closed form -----------------------------------------------------------
 
-    def _integrand(self, which):
-        prof = {"psi": self.psi3_bar, "p": self.p30_bar, "q": self.q30_bar}[which]
-        return lambda s: prof(2.0 * s) * np.exp(-0.5 * self.phi3_bar(2.0 * s))
+    def _integrand(self, s):
+        return self.psi3_bar(2.0 * s) * np.exp(-0.5 * self.phi3_bar(2.0 * s))
 
-    def _build_tables(self):
-        lo = self.vtheta_nodes[0] / 2.0
-        if self.periodic:
-            hi = (self.vtheta_nodes[0] + self.period) / 2.0
-        else:
-            hi = self.vtheta_nodes[-1] / 2.0
-        n = max(257, 4 * len(self.vtheta_nodes) + 1)
-        self._s_nodes = np.linspace(lo, hi, n)
-        self._s_period = hi - lo if self.periodic else None
-        self._tables = {}
-        self._edge_values = {}
-        self._table("psi")
-
-    def _table(self, which):
-        """Cumulative table of one integrand form, built on first use: the
-        lattice paths read only psi, the p and q routes are cross-checks."""
-        if which not in self._tables:
-            f = self._integrand(which)
-            nodes = self._s_nodes
-            seg = _segment_integrals(f, nodes)
-            self._tables[which] = np.concatenate([[0.0], np.cumsum(seg)])
-            self._edge_values[which] = (
-                float(f(np.array([nodes[0]]))[0]),
-                float(f(np.array([nodes[-1]]))[0]),
-            )
-        return self._tables[which]
-
-    def cumulative(self, s, which="psi"):
-        """F(s) = integral of the chosen integrand from the table origin,
+    def cumulative(self, s):
+        """F(s) = integral of the velocity integrand from the table origin,
         table lookup plus a local Simpson correction (absolute accuracy well
         below the blow-up threshold)."""
         s = np.asarray(s, dtype=float)
         nodes = self._s_nodes
-        f = self._integrand(which)
-        table = self._table(which)
+        f = self._integrand
+        table = self._table
         if self.periodic:
             total = table[-1]
             k = np.floor((s - nodes[0]) / self._s_period)
             rem = s - k * self._s_period
             base_winding = k * total
         else:
-            lo_edge, hi_edge = self._edge_values[which]
+            lo_edge, hi_edge = self._edge_slopes
             below = s < nodes[0]
             above = s > nodes[-1]
             rem = np.clip(s, nodes[0], nodes[-1])
@@ -278,71 +246,23 @@ class OriClosedForm:
         corr = d / 6.0 * (f(a) + 4.0 * mid + f(rem))
         return table[idx] + corr + base_winding
 
-    # -- closed form -----------------------------------------------------------
-
-    def log_argument(self, t, vtheta, form="psi"):
-        """The positive-argument expression whose log gives -u3/2.
-
-        The three forms integrate the factored equation along xi (p-form),
-        along eta (q-form), or in the symmetrized velocity form; they agree
-        identically in the continuum.
-        """
+    def log_argument(self, t, vtheta):
+        """The positive-argument expression whose log gives -u3/2."""
         t = np.asarray(t, dtype=float)
         vth = np.asarray(vtheta, dtype=float)
         plus = vth + t
         minus = vth - t
-        hi = 0.5 * plus
-        lo = 0.5 * minus
-        if form == "psi":
-            integral = self.cumulative(hi, "psi") - self.cumulative(lo, "psi")
-            return (
-                0.5 * np.exp(-0.5 * self.phi3_bar(plus))
-                + 0.5 * np.exp(-0.5 * self.phi3_bar(minus))
-                - 0.5 * integral
-            )
-        if form == "p":
-            integral = self.cumulative(hi, "p") - self.cumulative(lo, "p")
-            return np.exp(-0.5 * self.phi3_bar(plus)) - 0.5 * integral
-        if form == "q":
-            integral = self.cumulative(hi, "q") - self.cumulative(lo, "q")
-            return np.exp(-0.5 * self.phi3_bar(minus)) - 0.5 * integral
-        raise ValueError(f"unknown form {form!r}")
+        integral = self.cumulative(0.5 * plus) - self.cumulative(0.5 * minus)
+        return (
+            0.5 * np.exp(-0.5 * self.phi3_bar(plus))
+            + 0.5 * np.exp(-0.5 * self.phi3_bar(minus))
+            - 0.5 * integral
+        )
 
-    def u3(self, t, vtheta, form="psi"):
+    def u3(self, t, vtheta):
         """Closed-form z-component; NaN marks blown-up points (argument at
         or below the log threshold)."""
-        return _u3_of_argument(self.log_argument(t, vtheta, form=form), self.eps_log)
-
-    def u3_xi(self, t, vtheta):
-        """Exact xi-derivative of u3 (quotient of integrand evaluations)."""
-        t = np.asarray(t, dtype=float)
-        vth = np.asarray(vtheta, dtype=float)
-        plus = vth + t
-        d = self.log_argument(t, vth)
-        return self.q30_bar(plus) * np.exp(-0.5 * self.phi3_bar(plus)) / d
-
-    def u3_eta(self, t, vtheta):
-        t = np.asarray(t, dtype=float)
-        vth = np.asarray(vtheta, dtype=float)
-        minus = vth - t
-        d = self.log_argument(t, vth)
-        return self.p30_bar(minus) * np.exp(-0.5 * self.phi3_bar(minus)) / d
-
-    def coupling(self, t, vtheta):
-        """a * u3_xi * u3_eta, the coefficient of the transverse equations."""
-        if self.a is None:
-            raise ConfigError("coupling constant not set on this closed form")
-        t = np.asarray(t, dtype=float)
-        vth = np.asarray(vtheta, dtype=float)
-        plus, minus = vth + t, vth - t
-        d = self.log_argument(t, vth)
-        return (
-            self.a
-            * self.q30_bar(plus)
-            * self.p30_bar(minus)
-            * np.exp(-0.5 * (self.phi3_bar(plus) + self.phi3_bar(minus)))
-            / (d * d)
-        )
+        return _u3_of_argument(self.log_argument(t, vtheta), self.eps_log)
 
     # -- existence -------------------------------------------------------------
 
@@ -492,7 +412,7 @@ class LatticeTables:
             x = lo + step * k
             w = np.exp(-0.5 * cf.phi3_bar(x))
             part = slice(start, start + len(x))
-            half[part] = 0.5 * w + sign * 0.5 * cf.cumulative(0.5 * x, "psi")
+            half[part] = 0.5 * w + sign * 0.5 * cf.cumulative(0.5 * x)
             weighted[part] = trace(x) * w
         return half, weighted
 

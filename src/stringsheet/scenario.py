@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 import numpy as np
 
@@ -140,7 +140,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         bad = set(overrides) - known
         if bad:
             raise ConfigError(f"unknown threshold keys: {sorted(bad)}")
-        thresholds = thresholds.with_overrides(**{k: float(v) for k, v in overrides.items()})
+        thresholds = replace(thresholds, **{k: float(v) for k, v in overrides.items()})
     return Scenario(
         metric=dict(cfg["metric"]),
         domain=dict(cfg["domain"]),

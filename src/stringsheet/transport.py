@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from .errors import CausalityError, NumericalConsistencyError
 from .worldsheet import Profile, StringInitialData
@@ -22,31 +22,26 @@ from .worldsheet import Profile, StringInitialData
 __all__ = [
     "CoordinateMap",
     "build_theta0",
-    "map_from_profiles",
     "TransportFields",
     "solve_riemann_invariants",
     "WorldsheetMesh",
     "build_inverse_map",
     "rectangle_residual",
-    "conservation_residual",
-    "rk4_transport_check",
 ]
 
 
-def _continue(table, nodes, period, image_period, x):
+def _continue(table, nodes, period, image_period, x, slopes):
     """Evaluate a monotone table past its nodes: on a ring it winds, gaining
-    ``image_period`` per ``period``; on a line it continues linearly with its
-    edge slopes."""
+    ``image_period`` per ``period``; on a line it continues linearly with
+    ``slopes`` at its first and last node."""
     x = np.asarray(x, dtype=float)
     if period is not None:
         k = np.floor((x - nodes[0]) / period)
         return table(x - k * period) + k * image_period
     lo, hi = nodes[0], nodes[-1]
     out = table(np.clip(x, lo, hi))
-    slo = float(table(lo, nu=1))
-    shi = float(table(hi, nu=1))
-    out = np.where(x < lo, table(lo) + slo * (x - lo), out)
-    out = np.where(x > hi, table(hi) + shi * (x - hi), out)
+    out = np.where(x < lo, table(lo) + slopes[0] * (x - lo), out)
+    out = np.where(x > hi, table(hi) + slopes[1] * (x - hi), out)
     return out
 
 
@@ -56,9 +51,10 @@ class CoordinateMap:
 
     For closed strings the map winds: theta0(theta + L) = theta0(theta) + P
     where P is the image period; on a line it continues linearly with its
-    edge slopes.  The speed profiles ``lam_minus_bar`` and ``lam_plus_bar``
-    are functions of the straightened coordinate that wrap on a ring and
-    hold their edge values on a line.
+    edge slopes, and the inverse with their reciprocals, so the two
+    continuations invert each other.  The speed profiles ``lam_minus_bar``
+    and ``lam_plus_bar`` are functions of the straightened coordinate that
+    wrap on a ring and hold their edge values on a line.
     """
 
     theta_nodes: np.ndarray
@@ -71,11 +67,20 @@ class CoordinateMap:
     lam_minus_bar: Profile
     lam_plus_bar: Profile
 
+    def _edge_slopes(self):
+        return self._fwd(self.theta_nodes[[0, -1]], nu=1)
+
     def theta0(self, theta):
-        return _continue(self._fwd, self.theta_nodes, self.theta_period, self.vtheta_period, theta)
+        return _continue(
+            self._fwd, self.theta_nodes, self.theta_period, self.vtheta_period, theta,
+            self._edge_slopes(),
+        )
 
     def theta0_inverse(self, vtheta):
-        return _continue(self._inv, self.vtheta_nodes, self.vtheta_period, self.theta_period, vtheta)
+        return _continue(
+            self._inv, self.vtheta_nodes, self.vtheta_period, self.theta_period, vtheta,
+            1.0 / self._edge_slopes(),
+        )
 
 
 def build_theta0(data: StringInitialData) -> CoordinateMap:
@@ -112,42 +117,6 @@ def build_theta0(data: StringInitialData) -> CoordinateMap:
         _inv=PchipInterpolator(cum, theta_ext),
         lam_minus_bar=Profile(vtheta_nodes, data.lam_minus, period),
         lam_plus_bar=Profile(vtheta_nodes, data.lam_plus, period),
-    )
-
-
-def map_from_profiles(
-    lam_minus_bar,
-    lam_plus_bar,
-    vtheta_window,
-    nodes: int = 513,
-    periodic: bool = False,
-) -> CoordinateMap:
-    """Synthetic map built directly from straightened-coordinate profiles.
-
-    Useful for driving the transport layer with manufactured speed data; the
-    implied original coordinate follows from integrating
-    d theta / d vtheta = (lam+ - lam-) / 2.
-    """
-    lo, hi = map(float, vtheta_window)
-    vth_ext = np.linspace(lo, hi, nodes + 1 if periodic else nodes)
-    lm = np.asarray(lam_minus_bar(vth_ext), dtype=float)
-    lp = np.asarray(lam_plus_bar(vth_ext), dtype=float)
-    if np.any(lp - lm <= 0.0):
-        raise CausalityError("profiles must satisfy lam- < lam+ everywhere")
-    if periodic and not (np.isclose(lm[0], lm[-1]) and np.isclose(lp[0], lp[-1])):
-        raise CausalityError("periodic profiles must match at the seam")
-    theta_ext = cumulative_simpson((lp - lm) / 2.0, x=vth_ext, initial=0.0)
-    period = hi - lo if periodic else None
-    return CoordinateMap(
-        theta_nodes=theta_ext[:nodes],
-        vtheta_nodes=vth_ext[:nodes],
-        periodic=periodic,
-        theta_period=float(theta_ext[-1] - theta_ext[0]) if periodic else None,
-        vtheta_period=period,
-        _fwd=PchipInterpolator(theta_ext, vth_ext),
-        _inv=PchipInterpolator(vth_ext, theta_ext),
-        lam_minus_bar=Profile(vth_ext[:nodes], lm[:nodes], period),
-        lam_plus_bar=Profile(vth_ext[:nodes], lp[:nodes], period),
     )
 
 
@@ -264,97 +233,3 @@ def rectangle_residual(cmap, t_hi, s_a, s_b, step) -> float:
     )
     return float(route1 - route2)
 
-
-def _slice_interpolant(theta_row, values, periodic, theta_period):
-    """Cubic interpolant of a field sampled on one reconstructed t-slice."""
-    th = np.asarray(theta_row, dtype=float)
-    val = np.asarray(values, dtype=float)
-    if periodic:
-        lo = th[0]
-        w = lo + np.mod(th - lo, theta_period)
-        order = np.argsort(w)
-        ws = w[order]
-        vs = val[order]
-        x = np.append(ws, ws[0] + theta_period)
-        y = np.append(vs, vs[0])
-        spline = CubicSpline(x, y, bc_type="periodic")
-        return lambda q: spline(ws[0] + np.mod(np.asarray(q, float) - ws[0], theta_period))
-    spline = CubicSpline(th, val)
-    return spline
-
-
-def conservation_residual(
-    cmap: CoordinateMap, fields: TransportFields, mesh: WorldsheetMesh, theta_grid=None
-) -> float:
-    """Discrete residual of the conservation identity behind the map,
-    d_t(2/(lam+ - lam-)) + d_theta((lam+ + lam-)/(lam+ - lam-)),
-    on a fixed rectangular (t, theta) grid; converges at second order."""
-    if theta_grid is None:
-        theta_grid = cmap.theta_nodes
-    th = np.asarray(theta_grid, dtype=float)
-    levels = len(fields.t_nodes)
-    a = np.empty((levels, len(th)))
-    b = np.empty((levels, len(th)))
-    for m in range(levels):
-        gap = fields.lam_plus[m] - fields.lam_minus[m]
-        ssum = fields.lam_plus[m] + fields.lam_minus[m]
-        fa = _slice_interpolant(mesh.theta[m], 2.0 / gap, cmap.periodic, cmap.theta_period)
-        fb = _slice_interpolant(mesh.theta[m], ssum / gap, cmap.periodic, cmap.theta_period)
-        a[m] = fa(th)
-        b[m] = fb(th)
-    dt = float(fields.t_nodes[1] - fields.t_nodes[0])
-    da_dt = (a[2:] - a[:-2]) / (2.0 * dt)
-    if cmap.periodic:
-        dth = float(th[1] - th[0])
-        db = (np.roll(b, -1, axis=1) - np.roll(b, 1, axis=1)) / (2.0 * dth)
-        res = da_dt + db[1:-1]
-        return float(np.max(np.abs(res)))
-    dth = float(th[1] - th[0])
-    db = (b[:, 2:] - b[:, :-2]) / (2.0 * dth)
-    res = da_dt[:, 1:-1] + db[1:-1]
-    # trim edges influenced by constant extrapolation
-    margin = max(1, int(np.ceil(len(th) / 10)))
-    core = res[:, margin:-margin] if res.shape[1] > 2 * margin else res
-    return float(np.max(np.abs(core)))
-
-
-def rk4_transport_check(
-    cmap: CoordinateMap,
-    fields: TransportFields,
-    mesh: WorldsheetMesh,
-    n_paths: int = 10,
-    seed: int = 7,
-) -> float:
-    """Trace plus-family characteristics in the original coordinates with
-    RK4 and verify the minus speed is constant along them.
-
-    Independent of the unit-speed construction: the path is driven only by
-    per-slice samples of lam+(t, theta).
-    """
-    t = fields.t_nodes
-    if len(t) < 3:
-        raise ValueError("need at least three time levels")
-    levels = len(t) - ((len(t) - 1) % 2)  # odd count -> even number of steps
-    plus_interp = [
-        _slice_interpolant(mesh.theta[m], fields.lam_plus[m], cmap.periodic, cmap.theta_period)
-        for m in range(levels)
-    ]
-    minus_interp = [
-        _slice_interpolant(mesh.theta[m], fields.lam_minus[m], cmap.periodic, cmap.theta_period)
-        for m in range(levels)
-    ]
-    rng = np.random.default_rng(seed)
-    starts = rng.choice(mesh.theta[0], size=min(n_paths, len(mesh.theta[0])), replace=False)
-    worst = 0.0
-    dt = float(t[1] - t[0])
-    for th0 in starts:
-        invariant = float(minus_interp[0](th0))
-        th = float(th0)
-        for m in range(0, levels - 2, 2):
-            k1 = float(plus_interp[m](th))
-            k2 = float(plus_interp[m + 1](th + dt * k1))
-            k3 = float(plus_interp[m + 1](th + dt * k2))
-            k4 = float(plus_interp[m + 2](th + 2.0 * dt * k3))
-            th += (2.0 * dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            worst = max(worst, abs(float(minus_interp[m + 2](th)) - invariant))
-    return worst

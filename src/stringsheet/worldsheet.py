@@ -1,16 +1,15 @@
-"""Worldsheet kinematics.
+"""Initial data on the worldsheet.
 
-Induced-metric quantities, the characteristic structure of the first-order
-reduction of the string equations, null data, and the initial-data
-functionals with their physicality checks.
-
-The first-order reduction stacks U = (u, v, w) with v = u_t and w = u_theta.
-Its nonzero characteristic speeds are the two roots of
+The first-order reduction of the string equations has two nonzero
+characteristic speeds, the roots of
 
     g11 lam^2 + 2 g01 lam + g00 = 0,
 
-which are strictly ordered exactly when the state is timelike
-(delta = g00 g11 - g01^2 < 0).
+built from the induced metric of the sheet; they are strictly ordered
+exactly when the state is timelike (delta = g00 g11 - g01^2 < 0).  This
+module derives the speeds, the energy density and the null data from
+sampled initial curves, holds ``Profile``, the one interpolant of every
+sampled curve, and runs the physicality checks.
 """
 from __future__ import annotations
 
@@ -31,91 +30,15 @@ from .errors import (
 from .metrics import MetricModel
 
 __all__ = [
-    "StateVector",
-    "InducedMetric",
-    "CharacteristicSpeeds",
-    "NullPair",
     "Domain",
     "Profile",
     "StringInitialData",
     "OrderingReport",
-    "EigenSystem",
-    "induced_metric",
-    "characteristic_speeds",
-    "system_matrix",
-    "eigen_system",
-    "null_pair",
-    "null_residual",
-    "relative_null_residual",
-    "linear_degeneracy_residuals",
-    "linear_degeneracy_residuals_fd",
     "fourth_order_derivative",
     "build_initial_data",
     "ordering_sweep",
     "check_physicality",
-    "smallness_flag",
 ]
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Position u, velocity v = u_t and tangent w = u_theta at one point."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "v", "w"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"state component {name} is non-finite")
-            object.__setattr__(self, name, arr)
-        if not (self.u.shape == self.v.shape == self.w.shape):
-            raise DimensionMismatch("u, v, w must have equal length")
-
-    @property
-    def dim(self) -> int:
-        return self.u.shape[-1]
-
-
-@dataclass(frozen=True)
-class InducedMetric:
-    g00: float
-    g01: float
-    g11: float
-    delta: float
-
-    @property
-    def scale(self) -> float:
-        return max(abs(self.g00), abs(self.g01), abs(self.g11), 1.0)
-
-    def timelike(self, eps: float = DEFAULT_THRESHOLDS.eps_timelike) -> bool:
-        return self.delta < -eps * self.scale**2
-
-
-@dataclass(frozen=True)
-class CharacteristicSpeeds:
-    lam_minus: float
-    lam_plus: float
-
-
-@dataclass(frozen=True)
-class NullPair:
-    p: np.ndarray
-    q: np.ndarray
-
-
-def induced_metric(model: MetricModel, state: StateVector) -> InducedMetric:
-    if state.dim != model.dim:
-        raise DimensionMismatch(
-            f"state has {state.dim} components, model expects {model.dim}"
-        )
-    g = model.metric(state.u)
-    g00 = float(state.v @ g @ state.v)
-    g01 = float(state.v @ g @ state.w)
-    g11 = float(state.w @ g @ state.w)
-    return InducedMetric(g00=g00, g01=g01, g11=g11, delta=g00 * g11 - g01 * g01)
 
 
 def _speed_roots(g00, g01, g11):
@@ -134,162 +57,6 @@ def _speed_roots(g00, g01, g11):
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(qq != 0.0, g00 / np.where(qq != 0.0, qq, 1.0), 0.0)
     return np.minimum(r1, r2), np.maximum(r1, r2)
-
-
-def characteristic_speeds(
-    im: InducedMetric, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> CharacteristicSpeeds:
-    scale = im.scale
-    if abs(im.g11) < thresholds.eps_g11 * scale:
-        raise DegeneracyError(
-            f"|g11|={abs(im.g11):.3e} below threshold, speeds unbounded"
-        )
-    if im.delta >= -thresholds.eps_timelike * scale**2:
-        raise CausalityError(
-            f"motion not time-like (delta={im.delta:.3e} >= 0)"
-        )
-    lm, lp = _speed_roots(im.g00, im.g01, im.g11)
-    return CharacteristicSpeeds(lam_minus=float(lm), lam_plus=float(lp))
-
-
-def system_matrix(
-    im: InducedMetric, n: int, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> np.ndarray:
-    """Advection matrix of the stacked first-order system, size 3(n+1)."""
-    if abs(im.g11) < thresholds.eps_g11 * im.scale:
-        raise DegeneracyError("|g11| below threshold, system matrix undefined")
-    m = n + 1
-    eye = np.eye(m)
-    a = np.zeros((3 * m, 3 * m))
-    a[m : 2 * m, m : 2 * m] = -2.0 * im.g01 / im.g11 * eye
-    a[m : 2 * m, 2 * m :] = im.g00 / im.g11 * eye
-    a[2 * m :, m : 2 * m] = -eye
-    return a
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues with right vectors as columns and left vectors as rows,
-    paired index by index."""
-
-    values: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-
-
-def eigen_system(speeds: CharacteristicSpeeds, n: int) -> EigenSystem:
-    m = n + 1
-    lm, lp = speeds.lam_minus, speeds.lam_plus
-    values = np.concatenate([np.zeros(m), np.full(m, lm), np.full(m, lp)])
-    right = np.zeros((3 * m, 3 * m))
-    left = np.zeros((3 * m, 3 * m))
-    for c in range(m):
-        right[c, c] = 1.0
-        left[c, c] = 1.0
-        # family travelling at lam_minus
-        right[m + c, m + c] = -lm
-        right[2 * m + c, m + c] = 1.0
-        left[m + c, m + c] = 1.0
-        left[m + c, 2 * m + c] = lp
-        # family travelling at lam_plus
-        right[m + c, 2 * m + c] = -lp
-        right[2 * m + c, 2 * m + c] = 1.0
-        left[2 * m + c, m + c] = 1.0
-        left[2 * m + c, 2 * m + c] = lm
-    return EigenSystem(values=values, right=right, left=left)
-
-
-def null_pair(state: StateVector, speeds: CharacteristicSpeeds) -> NullPair:
-    return NullPair(
-        p=state.v + speeds.lam_minus * state.w,
-        q=state.v + speeds.lam_plus * state.w,
-    )
-
-
-def null_residual(g: np.ndarray, vec: np.ndarray) -> float:
-    return float(vec @ g @ vec)
-
-
-def relative_null_residual(g: np.ndarray, vec: np.ndarray) -> float:
-    scale = float(np.max(np.abs(g))) * float(vec @ vec)
-    return abs(null_residual(g, vec)) / max(1.0, scale)
-
-
-def _speed_gradients(model: MetricModel, state: StateVector, im: InducedMetric):
-    """Analytic gradients of both speeds with respect to (u, v, w).
-
-    Implicit differentiation of the root equation: for a root lam,
-    d lam = -(lam^2 dg11 + 2 lam dg01 + dg00) / (2 (g11 lam + g01)), and the
-    denominator equals -+sqrt(disc).  The u-gradient contracts the metric
-    partials with the family's own null direction v + lam w.
-    Returns ((du-, dv-, dw-), (du+, dv+, dw+)).
-    """
-    disc = im.g01 * im.g01 - im.g00 * im.g11
-    if disc <= 0.0 or np.sqrt(disc) < DEFAULT_THRESHOLDS.eps_timelike * im.scale:
-        raise DegeneracyError("coincident speeds, gradient undefined")
-    g = model.metric(state.u)
-    dg = model.metric_partials(state.u)
-    gv = g @ state.v
-    gw = g @ state.w
-    lm, lp = _speed_roots(im.g00, im.g01, im.g11)
-    out = []
-    for lam in (float(lm), float(lp)):
-        denom = im.g11 * lam + im.g01
-        fam = state.v + lam * state.w
-        du = -0.5 * np.einsum("cab,a,b->c", dg, fam, fam) / denom
-        dv = -(gw * lam + gv) / denom
-        dw = -lam * (gw * lam + gv) / denom
-        out.append((du, dv, dw))
-    return tuple(out)
-
-
-def linear_degeneracy_residuals(model: MetricModel, state: StateVector):
-    """Contractions grad(lam) . r over each family's own eigenvectors.
-
-    Both must vanish: the system's nonzero fields are linearly degenerate.
-    Returns the two maximal absolute residuals (minus family, plus family).
-    """
-    im = induced_metric(model, state)
-    (du_m, dv_m, dw_m), (du_p, dv_p, dw_p) = _speed_gradients(model, state, im)
-    lm, lp = _speed_roots(im.g00, im.g01, im.g11)
-    # r-vectors of each family have zero u-block, so du drops out of the
-    # contraction; it is computed anyway to keep the gradient complete.
-    res_minus = np.max(np.abs(-float(lm) * dv_m + dw_m))
-    res_plus = np.max(np.abs(-float(lp) * dv_p + dw_p))
-    return float(res_minus), float(res_plus)
-
-
-def linear_degeneracy_residuals_fd(
-    model: MetricModel, state: StateVector, step: float = 1e-6
-):
-    """Same contractions with central-difference speed gradients (oracle)."""
-    im = induced_metric(model, state)
-    lm0, lp0 = _speed_roots(im.g00, im.g01, im.g11)
-    dim = state.dim
-
-    def speeds_of(v, w):
-        g = model.metric(state.u)
-        g00 = float(v @ g @ v)
-        g01 = float(v @ g @ w)
-        g11 = float(w @ g @ w)
-        return _speed_roots(g00, g01, g11)
-
-    dv = np.zeros((2, dim))
-    dw = np.zeros((2, dim))
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = step
-        lm_p, lp_p = speeds_of(state.v + e, state.w)
-        lm_m, lp_m = speeds_of(state.v - e, state.w)
-        dv[0, c] = (lm_p - lm_m) / (2.0 * step)
-        dv[1, c] = (lp_p - lp_m) / (2.0 * step)
-        lm_p, lp_p = speeds_of(state.v, state.w + e)
-        lm_m, lp_m = speeds_of(state.v, state.w - e)
-        dw[0, c] = (lm_p - lm_m) / (2.0 * step)
-        dw[1, c] = (lp_p - lp_m) / (2.0 * step)
-    res_minus = np.max(np.abs(-float(lm0) * dv[0] + dw[0]))
-    res_plus = np.max(np.abs(-float(lp0) * dv[1] + dw[1]))
-    return float(res_minus), float(res_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +344,3 @@ def check_physicality(data: StringInitialData) -> OrderingReport:
         global_violation=gv,
         note=note,
     )
-
-
-def smallness_flag(data: StringInitialData, epsilon: float) -> bool:
-    """Diagnostic only: True when every component's arc-length and velocity
-    integrals are at most epsilon (trapezoid quadrature)."""
-    if data.domain.periodic:
-        x = np.append(data.theta, data.theta[0] + data.domain.length)
-        dphi = np.concatenate([np.abs(data.phi_theta), np.abs(data.phi_theta[:1])], axis=0)
-        vel = np.concatenate([np.abs(data.psi), np.abs(data.psi[:1])], axis=0)
-    else:
-        x = data.theta
-        dphi = np.abs(data.phi_theta)
-        vel = np.abs(data.psi)
-    arc = np.trapezoid(dphi, x, axis=0)
-    mom = np.trapezoid(vel, x, axis=0)
-    return bool(np.all(arc <= epsilon) and np.all(mom <= epsilon))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from oracles import StateVector
 from stringsheet import (
     Domain,
     Minkowski,
     OriGeneral,
     OriQuadratic,
-    StateVector,
     build_initial_data,
     solve,
     staged_solution,

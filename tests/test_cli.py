@@ -17,6 +17,7 @@ from conftest import (
     recorded_solve,
     recorded_staged,
 )
+from oracles import map_from_profiles
 from stringsheet import cli, lightcone, ori, scenario, transport, worldsheet
 from stringsheet.cli import main
 
@@ -336,7 +337,7 @@ def test_speed_ordering_batches_find_the_whole_lattice_violation(monkeypatch):
     # level per batch against the whole lattice at once
     lam_m = lambda s: -np.tanh(0.8 * s)
     lam_p = lambda s: -np.tanh(0.8 * s) + 0.2
-    cmap = transport.map_from_profiles(lam_m, lam_p, (-8.0, 8.0), nodes=801)
+    cmap = map_from_profiles(lam_m, lam_p, (-8.0, 8.0), nodes=801)
     t = 0.02 * np.arange(int(6.0 / 0.02) + 1)
     vth = np.linspace(-8.0, 8.0, 801)
     whole = transport.solve_riemann_invariants(cmap, t, vth)

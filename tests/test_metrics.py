@@ -4,16 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import harmonic_xy_model, product_xy_model
+from oracles import (
+    christoffels,
+    finite_difference_christoffels,
+    lorentzian_signature_ok,
+    verify_christoffels_numerically,
+)
 from stringsheet import (
     DegeneracyError,
     DimensionMismatch,
     Minkowski,
     OriGeneral,
     OriQuadratic,
-    finite_difference_christoffels,
-    verify_christoffels_numerically,
 )
-from stringsheet.metrics import lorentzian_signature_ok
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -22,7 +25,7 @@ def test_minkowski_metric_any_point():
     model = Minkowski(3)
     g = model.metric(np.array([4.2, -1.0, 0.3, 9.9]))
     assert np.array_equal(g, np.diag([-1.0, 1.0, 1.0, 1.0]))
-    assert np.all(model.christoffels(np.zeros(4)) == 0.0)
+    assert np.all(christoffels(model, np.zeros(4)) == 0.0)
 
 
 def test_ori_metric_matches_line_element():
@@ -54,7 +57,7 @@ def test_metric_invariants(t, x, y, z, a):
 def test_christoffel_lower_symmetry(t, x, y, z, a):
     for model in (Minkowski(2), OriQuadratic(a), product_xy_model(a)):
         pt = np.array([t, x, y, z])[: model.dim]
-        gam = model.christoffels(pt)
+        gam = christoffels(model, pt)
         assert np.allclose(gam, np.transpose(gam, (0, 2, 1)), atol=0.0)
 
 
@@ -62,7 +65,7 @@ def test_ori_christoffel_values():
     a = 1.3
     model = OriQuadratic(a)
     t, x, y, z = 0.4, 1.1, -0.6, 2.0
-    gam = model.christoffels(np.array([t, x, y, z]))
+    gam = christoffels(model, np.array([t, x, y, z]))
     f = a * (x * x - y * y)
     fx, fy, fz = 2 * a * x, -2 * a * y, 0.0
     assert gam[0, 0, 3] == gam[0, 3, 0] == 0.5
@@ -85,7 +88,7 @@ def test_quadratic_transverse_symbol_tracks_x():
     # z-derivatives
     a = 0.8
     for x0 in (0.0, 1.0, -2.5):
-        gam = OriQuadratic(a).christoffels(np.array([0.0, x0, 0.7, 0.0]))
+        gam = christoffels(OriQuadratic(a), np.array([0.0, x0, 0.7, 0.0]))
         assert gam[1, 3, 3] == pytest.approx(-a * x0)
 
 
@@ -95,7 +98,7 @@ def test_contract_matches_full_tensor(rng):
     p = rng.uniform(-1, 1, size=(40, 4))
     q = rng.uniform(-1, 1, size=(40, 4))
     direct = model.contract_pq(u, p, q)
-    via_tensor = np.einsum("ncab,na,nb->nc", model.christoffels(u), p, q)
+    via_tensor = np.einsum("ncab,na,nb->nc", christoffels(model, u), p, q)
     assert np.allclose(direct, via_tensor, atol=1e-14)
     # z-component of the contraction is -p3 q3 / 2 for every wave profile
     assert np.allclose(direct[:, 3], -0.5 * p[:, 3] * q[:, 3], atol=1e-15)
@@ -112,7 +115,7 @@ def test_general_profile_matches_quadratic(rng):
     quadratic = OriQuadratic(a)
     pts = rng.uniform(-2.0, 2.0, size=(100, 4))
     assert np.allclose(general.metric(pts), quadratic.metric(pts), atol=0.0)
-    assert np.allclose(general.christoffels(pts), quadratic.christoffels(pts), atol=0.0)
+    assert np.allclose(christoffels(general, pts), christoffels(quadratic, pts), atol=0.0)
 
 
 def test_fd_oracle_minkowski():

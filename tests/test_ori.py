@@ -12,6 +12,7 @@ from conftest import (
     recorded_solve,
     recorded_staged,
 )
+from oracles import coupling, route_u3, u3_eta, u3_xi
 from stringsheet import (
     Domain,
     DomainTruncationError,
@@ -106,8 +107,8 @@ def test_dual_routes_agree(rng):
         t = np.linspace(0.0, 2.0, 9)[:, None]
         vth = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)[None, :]
         base = cf.u3(t, vth)
-        assert np.nanmax(np.abs(base - cf.u3(t, vth, form="p"))) < 1e-8
-        assert np.nanmax(np.abs(base - cf.u3(t, vth, form="q"))) < 1e-8
+        assert np.nanmax(np.abs(base - route_u3(cf, t, vth, "p"))) < 1e-8
+        assert np.nanmax(np.abs(base - route_u3(cf, t, vth, "q"))) < 1e-8
 
 
 def test_exact_partials_match_finite_differences(rng):
@@ -127,8 +128,8 @@ def test_exact_partials_match_finite_differences(rng):
                 cf.u3(np.array([tt + step / 2]), np.array([vv - step / 2]))[0]
                 - cf.u3(np.array([tt - step / 2]), np.array([vv + step / 2]))[0]
             ) / step
-            assert cf.u3_xi(tt, vv) == pytest.approx(fd_xi, rel=1e-5, abs=1e-6)
-            assert cf.u3_eta(tt, vv) == pytest.approx(fd_eta, rel=1e-5, abs=1e-6)
+            assert u3_xi(cf, tt, vv) == pytest.approx(fd_xi, rel=1e-5, abs=1e-6)
+            assert u3_eta(cf, tt, vv) == pytest.approx(fd_eta, rel=1e-5, abs=1e-6)
 
 
 def test_blowup_marker_and_mask():
@@ -151,7 +152,7 @@ def test_blowup_marker_and_mask():
 
 def assert_tables_match_pointwise(cf, lo, step, nodes, levels):
     """Every lattice point and leg midpoint, one node past each end of the
-    row, against the pointwise closed form."""
+    row, against the pointwise closed form and its pointwise partials."""
     tables = LatticeTables(cf, lo, step, nodes, levels)
     for level in np.arange(0.0, levels + 0.5, 0.5):
         whole = level == int(level)
@@ -160,9 +161,9 @@ def assert_tables_match_pointwise(cf, lo, step, nodes, levels):
         vth = lo + step * (first + np.arange(count))
         got = tables.log_argument(level, first, count)
         assert np.max(np.abs(got - cf.log_argument(t, vth))) <= 1e-14, level
-        for name in ("u3_xi", "u3_eta", "coupling"):
+        for name, pointwise in (("u3_xi", u3_xi), ("u3_eta", u3_eta), ("coupling", coupling)):
             got = getattr(tables, name)(level, first, count)
-            expect = getattr(cf, name)(t, vth)
+            expect = pointwise(cf, t, vth)
             assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-13, (name, level)
 
 
@@ -304,9 +305,9 @@ def test_periodic_scan_nodes_stop_short_of_the_period():
     )
     seen = []
 
-    def recording(t, vtheta, form="psi"):
+    def recording(t, vtheta):
         seen.append(np.asarray(vtheta))
-        return OriClosedForm.log_argument(cf, t, vtheta, form)
+        return OriClosedForm.log_argument(cf, t, vtheta)
 
     cf.log_argument = recording
     assert cf.existence_check(2.0).passed
@@ -402,7 +403,7 @@ def test_plane_components_free_wave_when_coupling_vanishes():
         periodic=True,
         coupling_constant=model.a,
     )
-    assert np.max(np.abs(cf.coupling(grid.t_nodes[:, None], grid.vtheta[None, :]))) < 1e-20
+    assert np.max(np.abs(coupling(cf, grid.t_nodes[:, None], grid.vtheta[None, :]))) < 1e-20
     plane = recorded_fields(
         solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid
     )

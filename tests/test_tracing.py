@@ -1,6 +1,8 @@
-"""The benchmark tracer (``perfbench/tracing.py``) wraps stringsheet
-functions by module and name.  A renamed or moved boundary fails here,
-before it can break a traced benchmark run."""
+"""The benchmark reaches stringsheet by module and name: the tracer
+(``perfbench/tracing.py``) wraps functions, and the workloads
+(``perfbench/workloads.py``) call them and check what they return.  A
+renamed or moved name fails here, before it can break a benchmark run."""
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,7 +10,16 @@ from pathlib import Path
 import stringsheet
 import stringsheet.cli  # noqa: F401  (the tracer wraps the CLI dispatch table)
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+# methods the workloads' checks call on the objects the package returns
+CHECKED_METHODS = [
+    "ori.OriClosedForm.log_argument",
+    "ori.OriClosedForm.u3",
+    "ori.OriClosedForm.existence_check",
+    "ori.OriClosedForm.corollary_flags",
+    "ori.CorollaryFlags.any_true",
+]
 
 
 def load_tracing():
@@ -66,3 +77,33 @@ def test_tracer_wraps_every_boundary_and_restores_it():
         assert space.keys() == copy.keys(), key
         changed = [k for k in copy if space[k] is not copy[k]]
         assert not changed, (key, changed)
+
+
+def package_chains(tree, alias):
+    """Every attribute chain rooted at the name ``alias``, as a tuple of
+    names."""
+    chains = set()
+    for node in ast.walk(tree):
+        names, inner = [], node
+        while isinstance(inner, ast.Attribute):
+            names.append(inner.attr)
+            inner = inner.value
+        if names and isinstance(inner, ast.Name) and inner.id == alias:
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_workloads_reach_only_names_the_package_has():
+    # workloads.py imports the package as ``ss``
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    chains = package_chains(tree, "ss")
+    assert ("ori", "OriClosedForm", "from_profiles") in chains
+    missing = []
+    for chain in sorted(chains | {tuple(m.split(".")) for m in CHECKED_METHODS}):
+        owner = stringsheet
+        for name in chain:
+            if not hasattr(owner, name):
+                missing.append(".".join(chain))
+                break
+            owner = getattr(owner, name)
+    assert not missing, missing

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_ori_data, minkowski_circle_data, observed_orders
+from oracles import conservation_residual, map_from_profiles, rk4_transport_check
 from stringsheet import (
     CausalityError,
     Domain,
@@ -10,9 +11,6 @@ from stringsheet import (
     build_initial_data,
     build_inverse_map,
     build_theta0,
-    conservation_residual,
-    map_from_profiles,
-    rk4_transport_check,
     solve_riemann_invariants,
 )
 from stringsheet.transport import rectangle_residual
@@ -69,6 +67,17 @@ def test_theta0_line_continues_linearly_past_both_ends():
         assert np.allclose(slope[1:], slope[1], rtol=1e-12, atol=0.0)
         assert slope[1] == pytest.approx(26.0, rel=1e-4)
         assert np.all(np.abs(cmap.theta0_inverse(outside) - x) <= h**2 * dist)
+
+
+def test_theta0_round_trip_is_exact_past_both_ends():
+    # the inverse continues with the reciprocals of theta0's edge slopes,
+    # so past each end of a line window (h = 0.02) the two continuations
+    # invert each other up to rounding
+    data = line_data_with_speeds(lambda th: 2.0 / (1.0 + th**2), n=501)
+    cmap = build_theta0(data)
+    dist = np.linspace(0.5, 3.0, 11)
+    for x in (-5.0 - dist, 5.0 + dist):
+        assert np.max(np.abs(cmap.theta0_inverse(cmap.theta0(x)) - x)) <= 1e-12
 
 
 def test_theta0_monotone_and_roundtrip(rng):
