@@ -66,6 +66,11 @@ class LightconeGrid:
             return 0, n
         return level, n - level
 
+    def valid_bounds_at(self, t: float):
+        """The valid bounds of level ceil(t / step): on a line, the nodes
+        inside the triangle of determinacy at time t."""
+        return self.valid_bounds(int(np.ceil(t / self.step - 1e-9)))
+
 
 def build_grid(cmap: CoordinateMap, step: float, t_max: float) -> LightconeGrid:
     if step <= 0.0 or t_max <= 0.0:
@@ -283,27 +288,19 @@ def solve(
     def inspect(level, uu, pp, qq):
         lo, _ = grid.valid_bounds(level)
         t_here = level * grid.step
-        bad = ~np.isfinite(uu) | (np.abs(uu) > thresholds.field_ceiling)
-        bad_pq = (
-            ~np.isfinite(pp)
-            | ~np.isfinite(qq)
-            | (np.abs(pp) > thresholds.field_ceiling)
-            | (np.abs(qq) > thresholds.field_ceiling)
-        )
-        if np.any(bad) or np.any(bad_pq):
-            mask = bad | bad_pq
-            j, c = np.unravel_index(int(np.argmax(mask)), mask.shape)
-            candidates = [x[j, c] for x in (uu, pp, qq)]
-            if all(np.isfinite(x) for x in candidates):
-                val = max(abs(x) for x in candidates)
-            else:
-                val = float("inf")
+        # the largest of |u|, |p|, |q| per entry; np.maximum keeps a NaN, and
+        # a NaN fails the comparison, so one mask catches non-finite fields
+        size = np.maximum(np.maximum(np.abs(uu), np.abs(pp)), np.abs(qq))
+        bad = ~(size <= thresholds.field_ceiling)
+        if np.any(bad):
+            j, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            val = float(size[j, c])
             return BlowUpReport(
                 time=t_here,
                 vtheta=float(grid.vtheta[lo + j]),
                 component=int(c),
                 reason="field overflow",
-                value=float(val),
+                value=val if np.isfinite(val) else np.inf,
             )
         rp, rq = relative_null_residuals(model, uu, pp, qq)
         null_p[level] = float(np.max(rp))

@@ -16,8 +16,7 @@ lattice levels that holds one diagonal.
 The straightened initial profiles are the single most error-prone input:
 the velocity profile at fixed vtheta differs from the original velocity
 whenever the mean speed (lam+ + lam-)/2 is nonzero.  All conversions happen
-in ``OriClosedForm.from_initial_data`` and are cross-checked against the
-derivative of the position profile.
+in ``OriClosedForm.from_initial_data``.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import numpy as np
 from .config import DEFAULT_THRESHOLDS
 from .errors import ConfigError, DomainTruncationError
 from .lightcone import LightconeGrid, corners, initial_lightcone_data, march
-from .transport import CoordinateMap
+from .transport import CoordinateMap, _continue
 from .worldsheet import Profile, StringInitialData
 
 __all__ = [
@@ -76,15 +75,24 @@ def _u3_of_argument(arg, eps_log):
 
 @dataclass(frozen=True)
 class ExistenceReport:
+    """Verdict of the existence scan over t in [0, t_end].  On a ring the
+    scan covers the whole period at every t.  On a line (``triangle``) it
+    covers only what the data determine, vtheta in [lo + t, hi - t], and
+    t_end is where that triangle closes if it closes before the requested
+    t_max."""
+
     passed: bool
-    t_max: float
+    t_end: float
     window: tuple
+    triangle: bool
     margin_min: float
     t_star: Optional[float] = None
     vtheta_star: Optional[float] = None
 
     def describe(self) -> str:
-        region = f"t in [0, {self.t_max:g}], vtheta in [{self.window[0]:g}, {self.window[1]:g}]"
+        lo, hi = self.window
+        vtheta = f"[{lo:g} + t, {hi:g} - t]" if self.triangle else f"[{lo:g}, {hi:g}]"
+        region = f"t in [0, {self.t_end:g}], vtheta in {vtheta}"
         if self.passed:
             return f"PASS over scanned region ({region}); min margin {self.margin_min:.3e}"
         return (
@@ -138,14 +146,6 @@ class OriClosedForm:
         self.psi3_bar = Profile(x, psi3, ring)
         self.p30_bar = Profile(x, p30_values, ring)
         self.q30_bar = Profile(x, q30_values, ring)
-        self.consistency_residual = float(
-            np.max(
-                np.abs(
-                    0.5 * (np.asarray(q30_values) - np.asarray(p30_values))
-                    - self.phi3_bar(x, nu=1)
-                )
-            )
-        )
         lo = x[0] / 2.0
         hi = (x[0] + period) / 2.0 if periodic else x[-1] / 2.0
         self._s_nodes = np.linspace(lo, hi, max(257, 4 * len(x) + 1))
@@ -220,31 +220,25 @@ class OriClosedForm:
         return self.psi3_bar(2.0 * s) * np.exp(-0.5 * self.phi3_bar(2.0 * s))
 
     def cumulative(self, s):
-        """F(s) = integral of the velocity integrand from the table origin,
-        table lookup plus a local Simpson correction (absolute accuracy well
-        below the blow-up threshold)."""
-        s = np.asarray(s, dtype=float)
+        """F(s) = integral of the velocity integrand from the table origin
+        (absolute accuracy well below the blow-up threshold).  Past the table
+        it winds by the integral over a period on a ring and continues
+        linearly on a line, by the rule of the straightening map."""
+        return _continue(
+            self._lookup, self._s_nodes, self._s_period, self._table[-1], s, self._edge_slopes
+        )
+
+    def _lookup(self, s):
+        """F on the table nodes' span: table value plus a local Simpson
+        correction."""
         nodes = self._s_nodes
         f = self._integrand
-        table = self._table
-        if self.periodic:
-            total = table[-1]
-            k = np.floor((s - nodes[0]) / self._s_period)
-            rem = s - k * self._s_period
-            base_winding = k * total
-        else:
-            lo_edge, hi_edge = self._edge_slopes
-            below = s < nodes[0]
-            above = s > nodes[-1]
-            rem = np.clip(s, nodes[0], nodes[-1])
-            base_winding = np.where(below, lo_edge * (s - nodes[0]), 0.0)
-            base_winding = base_winding + np.where(above, hi_edge * (s - nodes[-1]), 0.0)
-        idx = np.clip(np.searchsorted(nodes, rem, side="right") - 1, 0, len(nodes) - 2)
+        idx = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2)
         a = nodes[idx]
-        d = rem - a
+        d = s - a
         mid = f(a + 0.5 * d)
-        corr = d / 6.0 * (f(a) + 4.0 * mid + f(rem))
-        return table[idx] + corr + base_winding
+        corr = d / 6.0 * (f(a) + 4.0 * mid + f(s))
+        return self._table[idx] + corr
 
     def log_argument(self, t, vtheta):
         """The positive-argument expression whose log gives -u3/2."""
@@ -272,74 +266,80 @@ class OriClosedForm:
             return lo, lo + float(self.period)
         return lo, float(self.vtheta_nodes[-1])
 
-    def existence_check(
-        self,
-        t_max: float,
-        step: Optional[float] = None,
-        window: Optional[tuple] = None,
-        bisect_tol: float = 1e-6,
-    ) -> ExistenceReport:
-        """Scan the log argument over the region and report the verdict; on
-        failure the earliest violation is bracketed on the grid and refined
-        by bisection in t.
-
-        The scan lattice has nodes lo + j step and levels t = m step, so
-        every level below t_max is read from the lattice tables; the final
-        level clipped to t_max and the bisection evaluate pointwise."""
-        if window is None:
-            window = self.scan_window()
-        lo, hi = map(float, window)
-        if step is None:
-            step = (
-                self.period / len(self.vtheta_nodes)
-                if self.periodic
-                else (hi - lo) / max(1, len(self.vtheta_nodes) - 1)
-            )
+    def scan_grid(self, t_max: float) -> LightconeGrid:
+        """The lattice of the existence scan: one node per closed-form node,
+        lo + j step with step = period / nodes on a ring and window /
+        (nodes - 1) on a line, and the levels t = m step up to t_max.  On a
+        line, t_max is cut to the level where the triangle of determinacy
+        closes."""
+        lo, hi = self.scan_window()
+        n = len(self.vtheta_nodes)
         if self.periodic:
-            # the node at lo + period is the node at lo again
-            n = int(np.ceil((hi - lo) / step - 1e-9))
+            step = self.period / n
         else:
-            n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        nodes = lo + step * np.arange(n)
-        levels = int(np.floor(t_max / step)) + 1
-        t_grid = step * np.arange(levels + 1)
-        t_nodes = np.minimum(t_grid, t_max)
-        tables = LatticeTables(self, lo, step, n, levels)
+            step = (hi - lo) / (n - 1)
+            t_max = min(t_max, (n - 1) // 2 * step)
+        return LightconeGrid(
+            step=step,
+            t_max=t_max,
+            vtheta=lo + step * np.arange(n),
+            periodic=self.periodic,
+            period=self.period,
+            n_levels=int(np.floor(t_max / step)),
+        )
 
-        def min_arg(tval):
-            return float(np.min(self.log_argument(np.full_like(nodes, tval), nodes)))
+    def existence_check(self, t_max: float) -> ExistenceReport:
+        """Scan the log argument over the region the data determine up to
+        t_max (``scan_grid``) and report the verdict; on failure the
+        earliest violation is bracketed between levels and refined by
+        bisection in t.
 
+        Every lattice level is read from the lattice tables over its valid
+        nodes.  A last level at t_max off the lattice, and the bisection,
+        evaluate pointwise on the nodes of level ceil(t / step): on a line,
+        the lattice nodes inside the triangle at time t."""
+        grid = self.scan_grid(t_max)
+        tables = LatticeTables(self, grid)
+
+        def nodes_at(t):
+            lo, hi = grid.valid_bounds_at(t)
+            return grid.vtheta[lo:hi]
+
+        def min_arg(t):
+            nodes = nodes_at(t)
+            return float(np.min(self.log_argument(np.full_like(nodes, t), nodes)))
+
+        def level_minima():
+            for m, t in enumerate(grid.t_nodes):
+                lo, hi = grid.valid_bounds(m)
+                yield float(t), float(np.min(tables.log_argument(m, lo, hi - lo)))
+            if grid.t_max > grid.t_nodes[-1]:
+                yield grid.t_max, min_arg(grid.t_max)
+
+        report = dict(t_end=grid.t_max, window=self.scan_window(), triangle=not self.periodic)
         margin = np.inf
         t_prev = 0.0
-        for level, tval in enumerate(t_nodes):
-            if t_grid[level] <= t_max:
-                m = float(np.min(tables.log_argument(level, 0, n)))
-            else:
-                m = min_arg(float(tval))
+        for t, m in level_minima():
             margin = min(margin, m)
             if m <= self.eps_log:
-                t_lo, t_hi = t_prev, float(tval)
-                while t_hi - t_lo > bisect_tol:
+                t_lo, t_hi = t_prev, t
+                while t_hi - t_lo > 1e-6:  # t* to six decimals
                     mid = 0.5 * (t_lo + t_hi)
                     if min_arg(mid) <= self.eps_log:
                         t_hi = mid
                     else:
                         t_lo = mid
-                t_star = 0.5 * (t_lo + t_hi)
-                args = self.log_argument(np.full_like(nodes, t_hi), nodes)
-                j = int(np.argmin(args))
+                nodes = nodes_at(t_hi)
+                j = int(np.argmin(self.log_argument(np.full_like(nodes, t_hi), nodes)))
                 return ExistenceReport(
                     passed=False,
-                    t_max=t_max,
-                    window=(lo, hi),
                     margin_min=margin,
-                    t_star=t_star,
+                    t_star=0.5 * (t_lo + t_hi),
                     vtheta_star=float(nodes[j]),
+                    **report,
                 )
-            t_prev = float(tval)
-        return ExistenceReport(
-            passed=True, t_max=t_max, window=(lo, hi), margin_min=margin
-        )
+            t_prev = t
+        return ExistenceReport(passed=True, margin_min=margin, **report)
 
     def corollary_flags(
         self, l1_threshold: float = DEFAULT_THRESHOLDS.l1_threshold
@@ -364,9 +364,9 @@ class OriClosedForm:
 
 
 class LatticeTables:
-    """The closed form gathered from 1D tables on the characteristic lattice
-    with nodes vtheta = lo + j step (0 <= j < nodes) and levels t = m step
-    (0 <= m <= levels).
+    """The closed form gathered from 1D tables on a characteristic lattice
+    ``grid``, with nodes vtheta = lo + j step (0 <= j < nodes) and levels
+    t = m step (0 <= m <= n_levels).
 
     The psi-form log argument splits as A(xi) + B(eta), xi = vtheta + t,
     eta = vtheta - t, with A = e^{-phi3/2}/2 - F/2, B = e^{-phi3/2}/2 + F/2
@@ -387,18 +387,14 @@ class LatticeTables:
     _MARGIN = 2
     _CHUNK = 1024
 
-    def __init__(self, cf: OriClosedForm, lo: float, step: float, nodes: int, levels: int):
+    def __init__(self, cf: OriClosedForm, grid: LightconeGrid):
+        lo, step, nodes, levels = float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels
         pad = self._MARGIN
         self._eta_origin = levels + pad
         self._a, self._q = self._sample(cf, lo, step, -pad, nodes + levels + pad, -1.0, cf.q30_bar)
         self._b, self._p = self._sample(cf, lo, step, -levels - pad, nodes + pad, 1.0, cf.p30_bar)
         self.coupling_constant = cf.a
         self.eps_log = cf.eps_log
-
-    @classmethod
-    def on_grid(cls, cf: OriClosedForm, grid: LightconeGrid) -> "LatticeTables":
-        """The tables of a characteristic lattice."""
-        return cls(cf, float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels)
 
     def _sample(self, cf, lo, step, first, last, sign, trace):
         """e^{-phi3/2}/2 + sign F/2 and trace e^{-phi3/2} on lo + k step,
@@ -544,7 +540,7 @@ def staged_solution(
     """Yield ``(m, u)`` level by level: the four-component field on the
     valid nodes, shape (nodes, 4), with staged time and transverse
     components and the closed-form z-component."""
-    tables = LatticeTables.on_grid(cf, grid)
+    tables = LatticeTables(cf, grid)
     plane_u = {}  # plane levels pulled by the time march and not yet yielded
 
     def plane():

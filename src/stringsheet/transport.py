@@ -39,10 +39,12 @@ def _continue(table, nodes, period, image_period, x, slopes):
         k = np.floor((x - nodes[0]) / period)
         return table(x - k * period) + k * image_period
     lo, hi = nodes[0], nodes[-1]
-    out = table(np.clip(x, lo, hi))
-    out = np.where(x < lo, table(lo) + slopes[0] * (x - lo), out)
-    out = np.where(x > hi, table(hi) + slopes[1] * (x - hi), out)
-    return out
+    out = table(np.clip(x, lo, hi))  # the edge values past the ends
+    return (
+        out
+        + np.where(x < lo, slopes[0] * (x - lo), 0.0)
+        + np.where(x > hi, slopes[1] * (x - hi), 0.0)
+    )
 
 
 @dataclass

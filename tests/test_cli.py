@@ -367,6 +367,40 @@ def test_shipped_scenarios_check(name, tmax, expect):
     assert code == expect
 
 
+SHIPPED_VERDICTS = {
+    "minkowski_wave": (0, "not applicable (flat model)"),
+    "ori_blowup": (
+        3,
+        "FAIL: earliest violation at t*=4.000000, vtheta=1.623156 "
+        "(scanned t in [0, 5], vtheta in [-10.472 + t, 10.472 - t])",
+    ),
+    "ori_global": (
+        0,
+        "PASS over scanned region (t in [0, 50], vtheta in [0, 2.77803]); min margin 1.000e+00",
+    ),
+    "ori_psi_negative": (
+        0,
+        "PASS over scanned region (t in [0, 10], vtheta in [0, 8.07429]); min margin 1.000e+00",
+    ),
+    "ori_smooth": (
+        0,
+        "PASS over scanned region (t in [0, 5], vtheta in [0, 19.7523]); min margin 8.694e-01",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_VERDICTS))
+def test_shipped_scenarios_check_verdict_line(name, capsys):
+    # each at its own t_max; the ring verdicts are those of the full-window scan
+    code = main(["check", str(SCENARIO_DIR / f"{name}.json")])
+    lines = capsys.readouterr().out.splitlines()
+    expect_code, verdict = SHIPPED_VERDICTS[name]
+    assert code == expect_code
+    assert f"existence criterion: {verdict}" in lines
+    if name == "ori_blowup":
+        assert "blow-up time estimate t* = 4.000000" in lines
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,15 @@ from stringsheet import (
     OriQuadratic,
     build_grid,
     build_theta0,
+    cli,
     initial_lightcone_data,
     solve,
 )
 from stringsheet.lightcone import advance_diagonal, relative_null_residuals
+from stringsheet.scenario import scenario_from_dict
 from stringsheet.worldsheet import Profile
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def solved_minkowski(nodes=256, denom=256, t_max=2.0, unit_speeds=True, wave_amp=0.1):
@@ -256,6 +263,45 @@ def test_blowup_detected_near_closed_form_time():
     assert abs(sol.blowup.time - 4.0) <= 0.2  # within 5 percent
     # fields on the last computed level are recorded
     assert sol.levels_computed == pytest.approx(sol.blowup.time / grid.step, abs=1)
+
+
+def ori_smooth_solve(field_ceiling, wrap=lambda model: model):
+    """Solve ``ori_smooth`` with its field ceiling overridden and its model
+    passed through ``wrap``."""
+    cfg = json.loads((SCENARIO_DIR / "ori_smooth.json").read_text())
+    cfg["thresholds"] = {"field_ceiling": field_ceiling}
+    sc = scenario_from_dict(cfg)
+    model, data = cli._prepare(sc)
+    cmap = build_theta0(data)
+    grid = build_grid(cmap, sc.step, sc.t_max)
+    return solve(wrap(model), data, cmap, grid, sc.thresholds)
+
+
+def test_field_overflow_report():
+    # the time component is the first to cross a ceiling of 1.5
+    sol = ori_smooth_solve(1.5)
+    assert sol.blowup.reason == "field overflow"
+    assert sol.levels_computed == 64
+    assert (sol.blowup.time, sol.blowup.vtheta, sol.blowup.component) == (
+        1.5703705300795936, 0.0, 0,
+    )
+    assert sol.blowup.value == 1.5139238429705577
+
+
+def test_field_overflow_of_a_nonfinite_field_reports_inf():
+    # a NaN right-hand side makes every field of level 1 non-finite
+    class NaNRhs:
+        def __init__(self, model):
+            self.metric = model.metric
+
+        def contract_pq(self, u, p, q):
+            return np.full_like(p, np.nan)
+
+    sol = ori_smooth_solve(1e8, NaNRhs)
+    assert sol.levels_computed == 1
+    assert sol.blowup.reason == "field overflow"
+    assert (sol.blowup.vtheta, sol.blowup.component) == (0.0, 0)
+    assert sol.blowup.value == np.inf
 
 
 def test_monitor_ceiling_consistency_error():

@@ -150,10 +150,19 @@ def test_blowup_marker_and_mask():
 # ---------------------------------------------------------------------------
 
 
+def lattice(lo, step, nodes, levels, period=None):
+    """A characteristic lattice of ``nodes`` nodes from ``lo`` and
+    ``levels`` levels, on a ring when ``period`` is given."""
+    return LightconeGrid(
+        step=step, t_max=levels * step, vtheta=lo + step * np.arange(nodes),
+        periodic=period is not None, period=period, n_levels=levels,
+    )
+
+
 def assert_tables_match_pointwise(cf, lo, step, nodes, levels):
     """Every lattice point and leg midpoint, one node past each end of the
     row, against the pointwise closed form and its pointwise partials."""
-    tables = LatticeTables(cf, lo, step, nodes, levels)
+    tables = LatticeTables(cf, lattice(lo, step, nodes, levels, cf.period))
     for level in np.arange(0.0, levels + 0.5, 0.5):
         whole = level == int(level)
         first, count = (-1.0, nodes + 2) if whole else (-0.5, nodes + 1)
@@ -191,7 +200,7 @@ def test_lattice_tables_reject_points_outside():
         lambda s: np.zeros_like(s), lambda s: np.full_like(s, -0.5), (0.0, 2 * np.pi),
         periodic=True, nodes=64,
     )
-    tables = LatticeTables(cf, 0.0, 0.1, 10, 5)
+    tables = LatticeTables(cf, lattice(0.0, 0.1, 10, 5, cf.period))
     assert np.all(np.isfinite(tables.log_argument(7, 0, 10)))
     assert np.all(np.isfinite(tables.log_argument(0, 3, 10)))
     for level, node in ((8, 0), (0, 4), (-8, 0)):
@@ -205,28 +214,35 @@ def test_lattice_tables_reject_points_outside():
 
 
 def test_existence_analytic_blowup_time():
-    cf = OriClosedForm.from_profiles(
-        lambda s: np.zeros_like(s), lambda s: np.full_like(s, 0.5), (-40.0, 40.0),
-        nodes=4097,
-    )
-    report = cf.existence_check(6.0, step=0.05, window=(-5.0, 5.0))
+    report = _constant_velocity_form().existence_check(6.0)
     assert not report.passed
     assert report.t_star == pytest.approx(4.0, abs=1e-4)
 
 
-def brute_force_scan(cf, t_max, step, window, bisect_tol=1e-6):
-    """The existence scan with every lattice level evaluated pointwise."""
-    lo, hi = window
-    if cf.periodic:
-        n = int(np.ceil((hi - lo) / step - 1e-9))
-    else:
-        n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+def brute_force_scan(cf, t_max, bisect_tol=1e-6):
+    """The existence scan with every lattice level evaluated pointwise: on
+    a ring every node at every time, on a line only the nodes at least t
+    from both window ends, and only until none is left."""
+    n = len(cf.vtheta_nodes)
+    lo, hi = cf.vtheta_nodes[0], cf.vtheta_nodes[-1]
+    step = cf.period / n if cf.periodic else (hi - lo) / (n - 1)
     nodes = lo + step * np.arange(n)
-    levels = int(np.floor(t_max / step)) + 1
-    t_nodes = np.minimum(step * np.arange(levels + 1), t_max)
+    if not cf.periodic:
+        t_max = min(t_max, (n - 1) // 2 * step)
+    levels = int(np.floor(t_max / step))
+    t_nodes = step * np.arange(levels + 1)
+    if t_max > t_nodes[-1]:
+        t_nodes = np.append(t_nodes, t_max)
+
+    def inside(t):
+        if cf.periodic:
+            return nodes
+        k = int(np.ceil(t / step - 1e-9))  # node k is the first at least t from lo
+        return nodes[k : n - k]
 
     def min_arg(t):
-        return float(np.min(cf.log_argument(np.full_like(nodes, t), nodes)))
+        x = inside(t)
+        return float(np.min(cf.log_argument(np.full_like(x, t), x)))
 
     margin, t_prev = np.inf, 0.0
     for t in t_nodes:
@@ -240,15 +256,17 @@ def brute_force_scan(cf, t_max, step, window, bisect_tol=1e-6):
                     t_hi = mid
                 else:
                     t_lo = mid
-            args = cf.log_argument(np.full_like(nodes, t_hi), nodes)
+            x = inside(t_hi)
+            args = cf.log_argument(np.full_like(x, t_hi), x)
             return dict(
                 passed=False,
                 margin=margin,
                 t_star=0.5 * (t_lo + t_hi),
-                vtheta_star=float(nodes[int(np.argmin(args))]),
+                vtheta_star=float(x[int(np.argmin(args))]),
+                t_end=t_max,
             )
         t_prev = float(t)
-    return dict(passed=True, margin=margin, t_star=None, vtheta_star=None)
+    return dict(passed=True, margin=margin, t_star=None, vtheta_star=None, t_end=t_max)
 
 
 def _periodic_form(psi3):
@@ -263,37 +281,66 @@ def _line_form():
 
 
 def _constant_velocity_form():
+    # step 10 / 200 = 0.05
     return OriClosedForm.from_profiles(
-        lambda s: np.zeros_like(s), lambda s: np.full_like(s, 0.5), (-40.0, 40.0),
-        nodes=4097,
+        lambda s: np.zeros_like(s), lambda s: np.full_like(s, 0.5), (-5.0, 5.0), nodes=201
     )
 
 
-# label: (closed form, t_max, explicit step, explicit window)
+def _edge_ramp_form():
+    # psi3 rises to 1/2 only past s = 8.5: the window's extension past its
+    # right end blows up at t = 6.5, the data's triangle of determinacy never
+    return OriClosedForm.from_profiles(
+        lambda s: np.zeros_like(s), lambda s: 0.25 * (1.0 + np.tanh((s - 8.5) / 0.3)),
+        (-10.0, 10.0),
+    )
+
+
+# label: (closed form, t_max)
 SCAN_CASES = {
-    "periodic blow-up": lambda: (_periodic_form(lambda s: 0.6 + 0.3 * np.cos(s)), 8.0, None, None),
-    "periodic, many periods": lambda: (
-        _periodic_form(lambda s: -0.2 - 0.1 * np.cos(s)), 25.0, None, None
-    ),
-    "line blow-up": lambda: (_line_form(), 6.0, None, None),
-    "explicit step and window": lambda: (_constant_velocity_form(), 6.0, 0.05, (-5.0, 5.0)),
+    "periodic blow-up": lambda: (_periodic_form(lambda s: 0.6 + 0.3 * np.cos(s)), 8.0),
+    "periodic, many periods": lambda: (_periodic_form(lambda s: -0.2 - 0.1 * np.cos(s)), 25.0),
+    "line blow-up": lambda: (_line_form(), 6.0),
+    "line, step 0.05": lambda: (_constant_velocity_form(), 6.0),
+    "line, past the triangle": lambda: (_edge_ramp_form(), 12.0),
+    "line, off-lattice t_max": lambda: (_edge_ramp_form(), 8.0),
 }
 
 
 @pytest.mark.parametrize("label", list(SCAN_CASES))
 def test_existence_check_matches_pointwise_scan(label):
-    cf, t_max, step, window = SCAN_CASES[label]()
-    report = cf.existence_check(t_max, step=step, window=window)
-    lo, hi = window or cf.scan_window()
-    if step is None:
-        n = len(cf.vtheta_nodes)
-        step = cf.period / n if cf.periodic else (hi - lo) / (n - 1)
-    expect = brute_force_scan(cf, t_max, step, (lo, hi))
+    cf, t_max = SCAN_CASES[label]()
+    report = cf.existence_check(t_max)
+    expect = brute_force_scan(cf, t_max)
+    assert report.t_end == expect["t_end"]
     assert report.passed == expect["passed"]
     assert abs(report.margin_min - expect["margin"]) <= 1e-14
     assert report.vtheta_star == expect["vtheta_star"]
     if not expect["passed"]:
         assert abs(report.t_star - expect["t_star"]) <= 1e-6
+
+
+@pytest.mark.parametrize("t_max,t_end", [(12.0, 10.0), (8.0, 8.0)])
+def test_line_scan_reads_only_the_triangle_of_determinacy(t_max, t_end):
+    # the window's extension past s = 10 would fail at t* = 6.500289,
+    # vtheta = 10; inside the triangle the log argument stays above 0.81
+    cf = _edge_ramp_form()
+    report = cf.existence_check(t_max)
+    assert report.passed
+    assert report.margin_min >= 0.81
+    assert report.t_end == t_end
+    assert report.describe() == (
+        f"PASS over scanned region (t in [0, {t_end:g}], vtheta in [-10 + t, 10 - t]); "
+        "min margin 8.125e-01"
+    )
+
+
+def test_line_violation_lies_inside_the_triangle():
+    cf = _line_form()
+    report = cf.existence_check(5.0)
+    lo, hi = cf.scan_window()
+    assert report.t_star == pytest.approx(4.0, abs=1e-4)
+    assert lo + report.t_star <= report.vtheta_star <= hi - report.t_star
 
 
 def test_periodic_scan_nodes_stop_short_of_the_period():
@@ -358,10 +405,13 @@ def test_all_false_flags_do_not_imply_failure():
 
 
 def test_consistency_residual_small_on_real_data():
+    # the straightened traces satisfy (q30 - p30) / 2 = d phi3 / d vtheta
     _, data = circle_ori_data(nodes=256)
     cmap = build_theta0(data)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=0.5)
-    assert cf.consistency_residual < 1e-6
+    x = cf.vtheta_nodes
+    residual = 0.5 * (cf.q30_bar(x) - cf.p30_bar(x)) - cf.phi3_bar(x, nu=1)
+    assert np.max(np.abs(residual)) < 1e-6
 
 
 def test_straightened_velocity_differs_from_naive_composition():
@@ -405,7 +455,7 @@ def test_plane_components_free_wave_when_coupling_vanishes():
     )
     assert np.max(np.abs(coupling(cf, grid.t_nodes[:, None], grid.vtheta[None, :]))) < 1e-20
     plane = recorded_fields(
-        solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid
+        solve_plane_components(LatticeTables(cf, grid), data, cmap, grid), grid
     )
     # compare against superposition of the mapped profiles
     theta_star = cmap.theta0_inverse
@@ -499,7 +549,7 @@ def test_transverse_swap_symmetry():
         grid = build_grid(cmap, cmap.vtheta_period / 128, 1.0)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=a)
         out[tag] = recorded_fields(
-            solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid
+            solve_plane_components(LatticeTables(cf, grid), data, cmap, grid), grid
         )
     assert np.allclose(out["base"].u[:, :, 0], out["swap"].u[:, :, 1], atol=1e-10)
     assert np.allclose(out["base"].u[:, :, 1], out["swap"].u[:, :, 0], atol=1e-10)
@@ -511,7 +561,7 @@ def test_staged_solve_rejects_blown_domain():
     grid = build_grid(cmap, 0.05, 4.5)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
     with pytest.raises(DomainTruncationError):
-        record_levels(solve_plane_components(LatticeTables.on_grid(cf, grid), data, cmap, grid), grid)
+        record_levels(solve_plane_components(LatticeTables(cf, grid), data, cmap, grid), grid)
 
 
 def test_time_component_free_wave_limit():
@@ -520,7 +570,7 @@ def test_time_component_free_wave_limit():
     cmap = build_theta0(data)
     grid = build_grid(cmap, cmap.vtheta_period / 256, 1.0)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=0.0)
-    tables = LatticeTables.on_grid(cf, grid)
+    tables = LatticeTables(cf, grid)
     plane = solve_plane_components(tables, data, cmap, grid)
     time_f = recorded_fields(solve_time_component(tables, data, cmap, grid, plane), grid)
     sol = recorded_solve(model, data, cmap, grid)
