@@ -46,7 +46,8 @@ class LightconeGrid:
 
     For closed strings the vtheta window is one period and indices wrap; on
     a line window each level loses one node per side (pure initial-value
-    problem on the triangle of determinacy).
+    problem on the triangle of determinacy).  Every lattice is laid out by
+    ``over``.
     """
 
     step: float
@@ -55,6 +56,34 @@ class LightconeGrid:
     periodic: bool
     period: Optional[float]
     n_levels: int
+
+    @classmethod
+    def over(cls, lo, step, nodes, period, t_max) -> "LightconeGrid":
+        """The lattice of the nodes lo + j step (0 <= j < nodes) and the
+        levels t = m step up to t_max: on a ring of ``period``, or on a line
+        when ``period`` is None, where t_max is cut to the last level that
+        the triangle of determinacy reaches."""
+        if period is None:
+            t_max = min(t_max, (nodes - 1) // 2 * step)
+        return cls(
+            step=step,
+            t_max=t_max,
+            vtheta=lo + step * np.arange(nodes),
+            periodic=period is not None,
+            period=period,
+            n_levels=int(np.floor(t_max / step + 1e-9)),
+        )
+
+    @staticmethod
+    def row(span, step, periodic):
+        """``(nodes, step)`` of a lattice row over a window of length
+        ``span`` at about ``step``: on a ring the nodes divide one period,
+        at least 8 of them, and the step is adjusted to fit; on a line the
+        step is kept and the nodes fill the window."""
+        if periodic:
+            nodes = max(8, int(round(span / step)))
+            return nodes, span / nodes
+        return int(np.floor(span / step + 1e-9)) + 1, step
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -66,46 +95,20 @@ class LightconeGrid:
             return 0, n
         return level, n - level
 
-    def valid_bounds_at(self, t: float):
-        """The valid bounds of level ceil(t / step): on a line, the nodes
-        inside the triangle of determinacy at time t."""
-        return self.valid_bounds(int(np.ceil(t / self.step - 1e-9)))
-
 
 def build_grid(cmap: CoordinateMap, step: float, t_max: float) -> LightconeGrid:
     if step <= 0.0 or t_max <= 0.0:
         raise ConfigError("step and t_max must be positive")
-    if cmap.periodic:
-        period = cmap.vtheta_period
-        n = max(8, int(round(period / step)))
-        actual = period / n
-        vtheta = cmap.vtheta_nodes[0] + actual * np.arange(n)
-        n_levels = int(np.floor(t_max / actual + 1e-9))
-        return LightconeGrid(
-            step=actual,
-            t_max=t_max,
-            vtheta=vtheta,
-            periodic=True,
-            period=period,
-            n_levels=n_levels,
-        )
-    lo, hi = cmap.vtheta_nodes[0], cmap.vtheta_nodes[-1]
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    vtheta = lo + step * np.arange(n)
-    n_levels = int(np.floor(t_max / step + 1e-9))
-    if n - 2 * n_levels < 1:
+    lo = cmap.vtheta_nodes[0]
+    span = cmap.vtheta_period if cmap.periodic else cmap.vtheta_nodes[-1] - lo
+    nodes, step = LightconeGrid.row(span, step, cmap.periodic)
+    grid = LightconeGrid.over(lo, step, nodes, cmap.vtheta_period, t_max)
+    if grid.n_levels < int(np.floor(t_max / step + 1e-9)):
         raise ConfigError(
-            f"window supports only t <= {(n - 1) // 2 * step:.6g} "
+            f"window supports only t <= {grid.t_max:.6g} "
             f"at step {step:.6g}, requested t_max={t_max:.6g}"
         )
-    return LightconeGrid(
-        step=step,
-        t_max=t_max,
-        vtheta=vtheta,
-        periodic=False,
-        period=None,
-        n_levels=n_levels,
-    )
+    return grid
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,6 @@ class LightconeSolution:
     """Monitor series and outcome of a march; the fields themselves went to
     the sink level by level."""
 
-    grid: LightconeGrid
     null_res_p: np.ndarray  # per-level max relative residuals
     null_res_q: np.ndarray
     deriv_res: np.ndarray
@@ -171,10 +173,11 @@ def initial_lightcone_data(
 
 def corners(a: np.ndarray, periodic: bool):
     """Values of one diagonal at corners A (one node left) and B (one node
-    right) of each node of the next diagonal: rolled on a ring, sliced on a
-    line, where the next diagonal is two nodes shorter."""
+    right) of each node of the next diagonal, as two slices.  A ring
+    diagonal is first padded with its two wrapped end nodes, so the next
+    diagonal is as long; on a line it is two nodes shorter."""
     if periodic:
-        return np.roll(a, 1, axis=0), np.roll(a, -1, axis=0)
+        a = np.concatenate([a[-1:], a, a[:1]])
     return a[:-2], a[2:]
 
 
@@ -338,7 +341,6 @@ def solve(
             f"(residual {value:.3e}) and the run stayed bounded"
         )
     return LightconeSolution(
-        grid=grid,
         null_res_p=null_p,
         null_res_q=null_q,
         deriv_res=deriv,

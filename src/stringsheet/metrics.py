@@ -110,8 +110,8 @@ class OriGeneral(MetricModel):
 
     def metric(self, points) -> np.ndarray:
         pts = _as_points(points, 4)
-        t = pts[..., 0]
-        f, _, _, _ = self._profile(pts)
+        t, x, y, z = (pts[..., c] for c in range(4))
+        f = self.f(x, y, z) + np.zeros_like(x)
         g = np.zeros(pts.shape[:-1] + (4, 4))
         g[..., 1, 1] = 1.0
         g[..., 2, 2] = 1.0

@@ -274,19 +274,8 @@ class OriClosedForm:
         closes."""
         lo, hi = self.scan_window()
         n = len(self.vtheta_nodes)
-        if self.periodic:
-            step = self.period / n
-        else:
-            step = (hi - lo) / (n - 1)
-            t_max = min(t_max, (n - 1) // 2 * step)
-        return LightconeGrid(
-            step=step,
-            t_max=t_max,
-            vtheta=lo + step * np.arange(n),
-            periodic=self.periodic,
-            period=self.period,
-            n_levels=int(np.floor(t_max / step)),
-        )
+        step = self.period / n if self.periodic else (hi - lo) / (n - 1)
+        return LightconeGrid.over(lo, step, n, self.period, t_max)
 
     def existence_check(self, t_max: float) -> ExistenceReport:
         """Scan the log argument over the region the data determine up to
@@ -302,7 +291,7 @@ class OriClosedForm:
         tables = LatticeTables(self, grid)
 
         def nodes_at(t):
-            lo, hi = grid.valid_bounds_at(t)
+            lo, hi = grid.valid_bounds(int(np.ceil(t / grid.step - 1e-9)))
             return grid.vtheta[lo:hi]
 
         def min_arg(t):
@@ -311,8 +300,7 @@ class OriClosedForm:
 
         def level_minima():
             for m, t in enumerate(grid.t_nodes):
-                lo, hi = grid.valid_bounds(m)
-                yield float(t), float(np.min(tables.log_argument(m, lo, hi - lo)))
+                yield float(t), float(np.min(tables.level(m)))
             if grid.t_max > grid.t_nodes[-1]:
                 yield grid.t_max, min_arg(grid.t_max)
 
@@ -372,10 +360,12 @@ class LatticeTables:
     eta = vtheta - t, with A = e^{-phi3/2}/2 - F/2, B = e^{-phi3/2}/2 + F/2
     and F(s) = cumulative(s/2).  The partials need Q = q30 e^{-phi3/2} at xi
     and P = p30 e^{-phi3/2} at eta.  All four are sampled once on the grid
-    lo + k step by the pointwise methods, so periodic winding and the
-    line-window extension carry over unchanged.  A and Q cover the xi-range
-    of the lattice, B and P its eta-range, each with a margin of
-    ``_MARGIN`` steps for the rectangle corners one node outside.
+    lo + k step by the pointwise methods, so periodic winding carries over
+    unchanged.  A and Q cover the xi-indices k the lattice reads, B and P
+    its eta-indices.  On a line the triangle of determinacy, rectangle
+    corners and leg midpoints included, reads 0 <= k < nodes in both.  On a
+    ring the tables cover the whole xi- and eta-range of the levels, with a
+    margin of ``_MARGIN`` steps for the rectangle corners one node outside.
 
     A lattice point is named by its level and node in units of the step
     (t = level step, vtheta = lo + node step).  Both may be half-integers
@@ -389,10 +379,15 @@ class LatticeTables:
 
     def __init__(self, cf: OriClosedForm, grid: LightconeGrid):
         lo, step, nodes, levels = float(grid.vtheta[0]), grid.step, len(grid.vtheta), grid.n_levels
-        pad = self._MARGIN
-        self._eta_origin = levels + pad
-        self._a, self._q = self._sample(cf, lo, step, -pad, nodes + levels + pad, -1.0, cf.q30_bar)
-        self._b, self._p = self._sample(cf, lo, step, -levels - pad, nodes + pad, 1.0, cf.p30_bar)
+        if grid.periodic:
+            pad = self._MARGIN
+            xi, eta = (-pad, nodes + levels + pad), (-levels - pad, nodes + pad)
+        else:
+            xi = eta = (0, nodes - 1)
+        self._grid = grid
+        self._xi_origin, self._eta_origin = -xi[0], -eta[0]
+        self._a, self._q = self._sample(cf, lo, step, *xi, -1.0, cf.q30_bar)
+        self._b, self._p = self._sample(cf, lo, step, *eta, 1.0, cf.p30_bar)
         self.coupling_constant = cf.a
         self.eps_log = cf.eps_log
 
@@ -413,7 +408,7 @@ class LatticeTables:
         return half, weighted
 
     def _slices(self, level, node, count):
-        i = self._MARGIN + int(round(node + level))
+        i = self._xi_origin + int(round(node + level))
         k = self._eta_origin + int(round(node - level))
         if min(i, k) < 0 or i + count > len(self._a) or k + count > len(self._b):
             raise IndexError(f"lattice point (level {level}, node {node}) outside the tables")
@@ -423,8 +418,10 @@ class LatticeTables:
         xi, eta = self._slices(level, node, count)
         return self._a[xi] + self._b[eta]
 
-    def u3(self, level, node, count):
-        return _u3_of_argument(self.log_argument(level, node, count), self.eps_log)
+    def level(self, m):
+        """The log argument on the valid nodes of level m."""
+        lo, hi = self._grid.valid_bounds(m)
+        return self.log_argument(m, lo, hi - lo)
 
     def u3_xi(self, level, node, count):
         xi, _ = self._slices(level, node, count)
@@ -448,8 +445,7 @@ class LatticeTables:
 
 
 def _check_domain_finite(tables: LatticeTables, grid: LightconeGrid, m: int):
-    lo, hi = grid.valid_bounds(m)
-    if np.any(tables.log_argument(m, lo, hi - lo) <= tables.eps_log):
+    if np.any(tables.level(m) <= tables.eps_log):
         raise DomainTruncationError(
             f"closed-form z-component blows up inside the requested domain "
             f"at t={m * grid.step:.6g}; truncate t_max or change the data"
@@ -549,5 +545,5 @@ def staged_solution(
             yield level
 
     for m, u0, _, _ in solve_time_component(tables, data, cmap, grid, plane()):
-        lo, hi = grid.valid_bounds(m)
-        yield m, np.column_stack([u0, plane_u.pop(m), tables.u3(m, lo, hi - lo)])
+        u3 = _u3_of_argument(tables.level(m), cf.eps_log)
+        yield m, np.column_stack([u0, plane_u.pop(m), u3])

@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import ConfigError
+from .lightcone import LightconeGrid
 from .metrics import MetricModel, Minkowski, OriGeneral, OriQuadratic
 from .worldsheet import Domain
 
@@ -213,16 +214,16 @@ def build_domain(scenario: Scenario) -> Domain:
 
 
 def build_theta_grid(scenario: Scenario) -> np.ndarray:
+    """The data nodes, laid out as a lattice row (``LightconeGrid.row``)."""
     spec = scenario.domain
-    h = scenario.step
-    if spec.get("kind") == "periodic":
-        length = float(spec.get("length", 2.0 * math.pi))
-        start = float(spec.get("start", 0.0))
-        n = max(8, int(round(length / h)))
-        return start + (length / n) * np.arange(n)
-    lo, hi = map(float, spec["window"])
-    n = int(np.floor((hi - lo) / h + 1e-9)) + 1
-    return lo + h * np.arange(n)
+    periodic = spec.get("kind") == "periodic"
+    if periodic:
+        lo, span = float(spec.get("start", 0.0)), float(spec.get("length", 2.0 * math.pi))
+    else:
+        lo, hi = map(float, spec["window"])
+        span = hi - lo
+    n, step = LightconeGrid.row(span, scenario.step, periodic)
+    return lo + step * np.arange(n)
 
 
 def _arrays_from_families(theta: np.ndarray, spec_list, dim: int, label: str) -> np.ndarray:

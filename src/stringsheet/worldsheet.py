@@ -82,19 +82,20 @@ class Domain:
 
 def fourth_order_derivative(values: np.ndarray, spacing: float, periodic: bool) -> np.ndarray:
     """d/dtheta on a uniform grid: 5-point centered stencil, one-sided at the
-    ends of line domains."""
+    ends of line domains.  A ring is padded with its two wrapped nodes on
+    each side, so that every node is an interior one."""
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    h12 = 12.0 * spacing
     if periodic:
-        vm2, vm1 = np.roll(v, 2, axis=0), np.roll(v, 1, axis=0)
-        vp1, vp2 = np.roll(v, -1, axis=0), np.roll(v, -2, axis=0)
-        out[:] = (-vp2 + 8.0 * vp1 - 8.0 * vm1 + vm2) / h12
-        return out
+        v = np.concatenate([v[-2:], v, v[:2]])
     n = v.shape[0]
     if n < 5:
         raise ConfigError("need at least 5 nodes for 4th-order derivatives")
-    out[2 : n - 2] = (-v[4:] + 8.0 * v[3 : n - 1] - 8.0 * v[1 : n - 3] + v[: n - 4]) / h12
+    h12 = 12.0 * spacing
+    inner = (-v[4:] + 8.0 * v[3 : n - 1] - 8.0 * v[1 : n - 3] + v[: n - 4]) / h12
+    if periodic:
+        return inner
+    out = np.empty_like(v)
+    out[2 : n - 2] = inner
     out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / h12
     out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / h12
     out[n - 2] = (3.0 * v[n - 1] + 10.0 * v[n - 2] - 18.0 * v[n - 3] + 6.0 * v[n - 4] - v[n - 5]) / h12
@@ -304,15 +305,12 @@ def ordering_sweep(lam_minus, lam_plus, theta, periodic: bool):
     if periodic:
         lm = np.concatenate([lm, lm])
         lp = np.concatenate([lp, lp])
-    run = -np.inf
-    arg = -1
-    for k in range(1, lm.shape[0]):
-        if lm[k - 1] > run:
-            run = lm[k - 1]
-            arg = k - 1
-        if run >= lp[k]:
-            return False, (arg % n, k % n)
-    return True, None
+    # the running max of lm over the nodes before k, against lp at k
+    hit = np.maximum.accumulate(lm)[:-1] >= lp[1:]
+    if not np.any(hit):
+        return True, None
+    k = int(np.argmax(hit)) + 1
+    return False, (int(np.argmax(lm[:k])) % n, k % n)
 
 
 def check_physicality(data: StringInitialData) -> OrderingReport:

@@ -7,6 +7,7 @@ check:
 * per-point worldsheet kinematics: induced metric, characteristic speeds,
   the first-order system's eigenstructure, null pairs, and the analytic and
   finite-difference speed gradients behind linear degeneracy;
+* the global speed-ordering sweep as one loop over the nodes;
 * the metric models' connection coefficients and metric partials, with a
   finite-difference oracle built from ``metric`` alone;
 * transport: a coordinate map built directly from straightened speed
@@ -218,6 +219,27 @@ def linear_degeneracy_residuals_fd(model, state: StateVector, step: float = 1e-6
     res_minus = np.max(np.abs(-float(lm0) * dv[0] + dw[0]))
     res_plus = np.max(np.abs(-float(lp0) * dv[1] + dw[1]))
     return float(res_minus), float(res_plus)
+
+
+def ordering_sweep_loop(lam_minus, lam_plus, periodic):
+    """``worldsheet.ordering_sweep`` as one loop: the running max of
+    lam_minus over the nodes before k and its first node, against lam_plus
+    at k, over two periods on a ring."""
+    lm = np.asarray(lam_minus, dtype=float)
+    lp = np.asarray(lam_plus, dtype=float)
+    n = lm.shape[0]
+    if periodic:
+        lm = np.concatenate([lm, lm])
+        lp = np.concatenate([lp, lp])
+    run = -np.inf
+    arg = -1
+    for k in range(1, lm.shape[0]):
+        if lm[k - 1] > run:
+            run = lm[k - 1]
+            arg = k - 1
+        if run >= lp[k]:
+            return False, (arg % n, k % n)
+    return True, None
 
 
 def smallness_flag(data, epsilon: float) -> bool:

@@ -14,6 +14,7 @@ from conftest import (
 from stringsheet import (
     ConfigError,
     Minkowski,
+    OriClosedForm,
     OriQuadratic,
     build_grid,
     build_theta0,
@@ -21,8 +22,8 @@ from stringsheet import (
     initial_lightcone_data,
     solve,
 )
-from stringsheet.lightcone import advance_diagonal, relative_null_residuals
-from stringsheet.scenario import scenario_from_dict
+from stringsheet.lightcone import advance_diagonal, corners, relative_null_residuals
+from stringsheet.scenario import build_theta_grid, scenario_from_dict
 from stringsheet.worldsheet import Profile
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -56,6 +57,113 @@ def test_line_grid_shrinks_and_guards_window():
     assert (lo, hi) == (5, len(grid.vtheta) - 5)
     with pytest.raises(ConfigError):
         build_grid(cmap, 0.1, 1e6)
+
+
+def reference_grid(cmap, step, t_max):
+    """``build_grid`` written out with its own ring and line branches:
+    (vtheta, step, levels, t_max), or None where the window is too short."""
+    if cmap.periodic:
+        period = cmap.vtheta_period
+        n = max(8, int(round(period / step)))
+        actual = period / n
+        levels = int(np.floor(t_max / actual + 1e-9))
+        return cmap.vtheta_nodes[0] + actual * np.arange(n), actual, levels, t_max
+    lo, hi = cmap.vtheta_nodes[0], cmap.vtheta_nodes[-1]
+    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    levels = int(np.floor(t_max / step + 1e-9))
+    if n - 2 * levels < 1:
+        return None
+    return lo + step * np.arange(n), step, levels, t_max
+
+
+def reference_scan_grid(cf, t_max):
+    """``OriClosedForm.scan_grid`` written out: one node per closed-form
+    node, and on a line t_max cut where the triangle closes.  Its levels
+    take the floor of t_max / step + 1e-9 as ``build_grid`` does, so that a
+    t_max of k steps has k levels whichever way the division rounds."""
+    n = len(cf.vtheta_nodes)
+    lo = cf.vtheta_nodes[0]
+    if cf.periodic:
+        step = cf.period / n
+    else:
+        step = (cf.vtheta_nodes[-1] - lo) / (n - 1)
+        t_max = min(t_max, (n - 1) // 2 * step)
+    return lo + step * np.arange(n), step, int(np.floor(t_max / step + 1e-9)), t_max
+
+
+def assert_layout(grid, vtheta, step, levels, t_max, periodic):
+    assert np.array_equal(grid.vtheta, vtheta)
+    assert (grid.step, grid.n_levels, grid.t_max, grid.periodic) == (step, levels, t_max, periodic)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_build_grid_lays_out_the_reference_lattice(periodic):
+    _, data = circle_ori_data(nodes=128) if periodic else blowup_line_data(nodes=201)
+    cmap = build_theta0(data)
+    for step in (0.013, 0.05, 0.1, 0.37, cmap.vtheta_nodes[1] - cmap.vtheta_nodes[0]):
+        vtheta, actual, _, _ = reference_grid(cmap, step, 1.0)
+        closes = (len(vtheta) - 1) // 2 * actual
+        # k steps exactly, between levels, and past the triangle's last level
+        for t_max in (11 * actual, 43 * actual, 0.5, 3.3, closes, closes + 0.5 * actual, 1e3):
+            ref = reference_grid(cmap, step, t_max)
+            if ref is None:
+                with pytest.raises(ConfigError):
+                    build_grid(cmap, step, t_max)
+                continue
+            vtheta, actual, levels, t_ref = ref
+            if not periodic:  # a line's t_max is cut to the triangle's last level
+                t_ref = min(t_ref, closes)
+            assert_layout(build_grid(cmap, step, t_max), vtheta, actual, levels, t_ref, periodic)
+
+
+@pytest.mark.parametrize("periodic, nodes", [(True, 64), (True, 257), (False, 201), (False, 401)])
+def test_scan_grid_lays_out_the_reference_lattice(periodic, nodes):
+    window = (0.0, 2.0 * np.pi) if periodic else (-5.0, 5.0)
+    cf = OriClosedForm.from_profiles(
+        lambda s: 0.1 * np.sin(s), lambda s: -0.5 + 0.1 * np.cos(s), window,
+        periodic=periodic, nodes=nodes,
+    )
+    step = reference_scan_grid(cf, 1.0)[1]
+    for k in (11, 43, 81, 86, 91):
+        # the division of k steps by the step rounds below k for some k
+        assert cf.scan_grid(k * step).n_levels == k
+    for t_max in (11 * step, 43 * step, 0.7, 2.5, 4.0, 50.0):
+        assert_layout(cf.scan_grid(t_max), *reference_scan_grid(cf, t_max), periodic)
+
+
+def test_theta_grid_lays_out_the_reference_row():
+    domains = [
+        {"kind": "periodic"},
+        {"kind": "periodic", "length": 5.0, "start": -1.0},
+        {"kind": "line", "window": [-10.0, 10.0]},
+        {"kind": "line", "window": [-1.3, 2.9]},
+    ]
+    for domain in domains:
+        for h in (0.013, 0.0245436926061703, 0.025, 0.1, 0.37, 2.0):
+            sc = scenario_from_dict(
+                {"metric": {}, "domain": domain, "grid": {"h": h, "t_max": 1.0}, "initial_data": {}}
+            )
+            if domain["kind"] == "periodic":
+                length, start = domain.get("length", 2.0 * np.pi), domain.get("start", 0.0)
+                n = max(8, int(round(length / h)))
+                expect = start + (length / n) * np.arange(n)
+            else:
+                lo, hi = domain["window"]
+                expect = lo + h * np.arange(int(np.floor((hi - lo) / h + 1e-9)) + 1)
+            assert np.array_equal(build_theta_grid(sc), expect)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,)])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_corners_are_the_rolled_or_cut_diagonal(rng, periodic, shape):
+    for n in (3, 8, 403):
+        a = rng.normal(size=(n,) + shape)
+        left, right = corners(a, periodic)
+        if periodic:
+            expect = np.roll(a, 1, axis=0), np.roll(a, -1, axis=0)
+        else:
+            expect = a[:-2], a[2:]
+        assert np.array_equal(left, expect[0]) and np.array_equal(right, expect[1])
 
 
 # ---------------------------------------------------------------------------

@@ -160,12 +160,17 @@ def lattice(lo, step, nodes, levels, period=None):
 
 
 def assert_tables_match_pointwise(cf, lo, step, nodes, levels):
-    """Every lattice point and leg midpoint, one node past each end of the
-    row, against the pointwise closed form and its pointwise partials."""
+    """Every lattice point and leg midpoint against the pointwise closed
+    form and its pointwise partials: on a ring one node past each end of the
+    row, on a line the triangle of determinacy, nodes level .. nodes - 1 -
+    level at each level and half level."""
     tables = LatticeTables(cf, lattice(lo, step, nodes, levels, cf.period))
     for level in np.arange(0.0, levels + 0.5, 0.5):
-        whole = level == int(level)
-        first, count = (-1.0, nodes + 2) if whole else (-0.5, nodes + 1)
+        if cf.periodic:
+            whole = level == int(level)
+            first, count = (-1.0, nodes + 2) if whole else (-0.5, nodes + 1)
+        else:
+            first, count = level, int(nodes - 2 * level)
         t = level * step
         vth = lo + step * (first + np.arange(count))
         got = tables.log_argument(level, first, count)
@@ -186,13 +191,29 @@ def test_lattice_tables_match_pointwise_over_several_periods():
 
 
 def test_lattice_tables_match_pointwise_past_the_line_window():
-    # xi and eta run 4 past both window edges, where the profiles are
-    # clipped and the cumulative integral extends linearly
+    # on the window's own lattice the triangle stays inside the window; on
+    # a lattice 4 wider at both ends xi and eta run 4 past both window
+    # edges, where the profiles are clipped and the cumulative integral
+    # extends linearly
     cf = OriClosedForm.from_profiles(
         lambda s: 0.1 * np.sin(s), lambda s: -0.5 + 0.1 * np.cos(s), (-5.0, 5.0),
         nodes=401, coupling_constant=0.7,
     )
     assert_tables_match_pointwise(cf, -5.0, 0.05, 201, 80)
+    assert_tables_match_pointwise(cf, -9.0, 0.05, 361, 80)
+
+
+def test_line_tables_sample_one_entry_per_lattice_node(monkeypatch):
+    cf = OriClosedForm.from_profiles(
+        lambda s: 0.1 * np.sin(s), lambda s: -0.5 + 0.1 * np.cos(s), (-5.0, 5.0), nodes=401,
+    )
+    grid = cf.scan_grid(3.0)
+    sampled = []
+    cumulative = cf.cumulative
+    monkeypatch.setattr(cf, "cumulative", lambda s: sampled.append(np.size(s)) or cumulative(s))
+    LatticeTables(cf, grid)
+    # one cumulative per table (A in xi, B in eta) and lattice node
+    assert sum(sampled) == 2 * len(grid.vtheta) == 2 * 401
 
 
 def test_lattice_tables_reject_points_outside():

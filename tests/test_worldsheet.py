@@ -19,6 +19,7 @@ from oracles import (
     linear_degeneracy_residuals,
     linear_degeneracy_residuals_fd,
     null_pair,
+    ordering_sweep_loop,
     smallness_flag,
     speed_gradients,
     system_matrix,
@@ -313,6 +314,15 @@ def test_fourth_order_derivative_accuracy():
     assert np.max(np.abs(d - np.exp(thl))) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_ring_derivative_is_the_rolled_stencil(rng, shape):
+    for n in (5, 64):
+        v = rng.normal(size=(n,) + shape)
+        rolled = [np.roll(v, k, axis=0) for k in (-2, -1, 1, 2)]
+        expect = (-rolled[0] + 8.0 * rolled[1] - 8.0 * rolled[2] + rolled[3]) / (12.0 * 0.1)
+        assert np.array_equal(fourth_order_derivative(v, 0.1, periodic=True), expect)
+
+
 def test_causality_error_names_node():
     model = Minkowski(2)
     th = np.linspace(0.0, 1.0, 11)
@@ -452,6 +462,17 @@ def test_sweep_matches_brute_force_random(rng):
         assert ok == ok_bf
         if not ok:
             assert pair == pair_bf
+
+
+@given(
+    speeds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=24),
+    periodic=st.booleans(),
+)
+def test_sweep_matches_the_loop_on_ties(speeds, periodic):
+    # four speed values only, so running maxima and violations tie often
+    lm, lp = (np.array(column, dtype=float) for column in zip(*speeds))
+    got = ordering_sweep(lm, lp, np.arange(len(lm), dtype=float), periodic)
+    assert got == ordering_sweep_loop(lm, lp, periodic)
 
 
 def test_check_physicality_on_good_data():
