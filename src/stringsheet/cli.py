@@ -129,7 +129,7 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
     for name, value in asdict(flags).items():
         print(f"  flag {name:<18}: {value}")
     if out_dir is not None:
-        t_nodes = scenario.step * np.arange(int(scenario.t_max / scenario.step) + 1)
+        t_nodes = scenario.step * np.arange(np.floor(scenario.t_max / scenario.step + 1e-9) + 1)
         _write_csv(
             out_dir / "log_argument.csv",
             ["t", "vartheta", "log_argument"],

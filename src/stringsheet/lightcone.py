@@ -239,10 +239,7 @@ def march(grid: LightconeGrid, init, rhs_at: Callable):
 
 def relative_null_residuals(model: MetricModel, u, p, q):
     """Per-node |g(p,p)| and |g(q,q)| scaled by the metric and field size."""
-    g = model.metric(u)
-    gp = np.einsum("...ab,...a,...b->...", g, p, p)
-    gq = np.einsum("...ab,...a,...b->...", g, q, q)
-    gscale = np.max(np.abs(g), axis=(-2, -1))
+    gp, gq, gscale = model.null_forms(u, p, q)
     denom_p = np.maximum(1.0, gscale * np.einsum("...a,...a->...", p, p))
     denom_q = np.maximum(1.0, gscale * np.einsum("...a,...a->...", q, q))
     return np.abs(gp) / denom_p, np.abs(gq) / denom_q

@@ -40,9 +40,11 @@ def _as_points(points, dim: int) -> np.ndarray:
 
 
 class MetricModel:
-    """Shared interface: ``metric(points)``, the metric g_AB, and
+    """Shared interface: ``metric(points)``, the metric g_AB;
+    ``null_forms(u, p, q)``, g(p, p), g(q, q) and max |g_ab| at u; and
     ``contract_pq(u, p, q)``, Gamma^C_AB(u) p^A q^B, the source of the
-    light-cone system."""
+    light-cone system.  The last two check nothing: the march calls them on
+    fields it has already checked."""
 
     dim: int
     name: str
@@ -68,8 +70,13 @@ class Minkowski(MetricModel):
         shape = pts.shape[:-1] + (self.dim, self.dim)
         return np.broadcast_to(self._eta, shape).copy()
 
+    def null_forms(self, u, p, q):
+        # in the order einsum adds g_ab v^a v^b, so bitwise the same sum
+        gp, gq = (sum((v[..., c] ** 2 for c in range(1, self.dim)), -v[..., 0] ** 2)
+                  for v in (p, q))
+        return gp, gq, 1.0
+
     def contract_pq(self, u, p, q) -> np.ndarray:
-        _as_points(u, self.dim)
         return np.zeros_like(np.asarray(p, dtype=float))
 
 
@@ -98,16 +105,6 @@ class OriGeneral(MetricModel):
         self.f_z = f_z
         self.name = name
 
-    def _profile(self, pts):
-        x, y, z = pts[..., 1], pts[..., 2], pts[..., 3]
-        zero = np.zeros_like(x)
-        return (
-            self.f(x, y, z) + zero,
-            self.f_x(x, y, z) + zero,
-            self.f_y(x, y, z) + zero,
-            self.f_z(x, y, z) + zero,
-        )
-
     def metric(self, points) -> np.ndarray:
         pts = _as_points(points, 4)
         t, x, y, z = (pts[..., c] for c in range(4))
@@ -120,12 +117,18 @@ class OriGeneral(MetricModel):
         g[..., 3, 3] = f - t
         return g
 
+    def null_forms(self, u, p, q):
+        t, x, y, z = (u[..., c] for c in range(4))
+        g33 = self.f(x, y, z) - t
+        gp, gq = (-v[..., 0] * v[..., 3] + v[..., 1] ** 2 + v[..., 2] ** 2 - v[..., 3] * v[..., 0]
+                  + g33 * v[..., 3] * v[..., 3] for v in (p, q))  # in einsum's order
+        return gp, gq, np.maximum(1.0, np.abs(g33))
+
     def contract_pq(self, u, p, q) -> np.ndarray:
-        pts = _as_points(u, 4)
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        t = pts[..., 0]
-        f, fx, fy, fz = self._profile(pts)
+        t, x, y, z = (u[..., c] for c in range(4))
+        f, fx, fy, fz = (g(x, y, z) for g in (self.f, self.f_x, self.f_y, self.f_z))
         p0, p1, p2, p3 = (p[..., c] for c in range(4))
         q0, q1, q2, q3 = (q[..., c] for c in range(4))
         out = np.zeros_like(p)

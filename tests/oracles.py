@@ -9,7 +9,8 @@ check:
   finite-difference speed gradients behind linear degeneracy;
 * the global speed-ordering sweep as one loop over the nodes;
 * the metric models' connection coefficients and metric partials, with a
-  finite-difference oracle built from ``metric`` alone;
+  finite-difference oracle built from ``metric`` alone, and the relative
+  null residuals contracted with the full metric tensor;
 * transport: a coordinate map built directly from straightened speed
   profiles, the conservation-identity residual, and RK4 tracing of
   characteristics in the original coordinate;
@@ -263,6 +264,26 @@ def smallness_flag(data, epsilon: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _profile(model, pts):
+    """f, f_x, f_y and f_z at the points, each broadcast to the points'
+    shape."""
+    x, y, z = pts[..., 1], pts[..., 2], pts[..., 3]
+    zero = np.zeros_like(x)
+    return tuple(g(x, y, z) + zero for g in (model.f, model.f_x, model.f_y, model.f_z))
+
+
+def einsum_null_residuals(model, u, p, q):
+    """``lightcone.relative_null_residuals`` from the full metric tensor:
+    |g_ab v^a v^b| / max(1, max |g_ab| |v|^2) for v = p and v = q."""
+    g = model.metric(u)
+    gp = np.einsum("...ab,...a,...b->...", g, p, p)
+    gq = np.einsum("...ab,...a,...b->...", g, q, q)
+    gscale = np.max(np.abs(g), axis=(-2, -1))
+    denom_p = np.maximum(1.0, gscale * np.einsum("...a,...a->...", p, p))
+    denom_q = np.maximum(1.0, gscale * np.einsum("...a,...a->...", q, q))
+    return np.abs(gp) / denom_p, np.abs(gq) / denom_q
+
+
 def christoffels(model, points) -> np.ndarray:
     """Gamma[..., c, a, b] with the first tensor index upper: zero for a
     flat model, the plane-fronted symbols for an ``OriGeneral``."""
@@ -272,7 +293,7 @@ def christoffels(model, points) -> np.ndarray:
         return gamma
     # the time in the 33-coefficient is the point's own first component
     t = pts[..., 0]
-    f, fx, fy, fz = model._profile(pts)
+    f, fx, fy, fz = _profile(model, pts)
     gamma[..., 0, 0, 3] = 0.5
     gamma[..., 0, 3, 0] = 0.5
     gamma[..., 0, 1, 3] = -0.5 * fx
@@ -292,7 +313,7 @@ def metric_partials(model, points) -> np.ndarray:
     dg = np.zeros(pts.shape[:-1] + (model.dim,) * 3)
     if not isinstance(model, OriGeneral):
         return dg
-    _, fx, fy, fz = model._profile(pts)
+    _, fx, fy, fz = _profile(model, pts)
     dg[..., 0, 3, 3] = -1.0
     dg[..., 1, 3, 3] = fx
     dg[..., 2, 3, 3] = fy

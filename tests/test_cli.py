@@ -401,6 +401,44 @@ def test_shipped_scenarios_check_verdict_line(name, capsys):
         assert "blow-up time estimate t* = 4.000000" in lines
 
 
+def test_check_out_reaches_t_max_where_the_ratio_rounds_down(tmp_path):
+    # 0.3 / 0.1 = 2.9999999999999996: the levels take the 1e-9 floor of
+    # LightconeGrid.over, so the file reaches t = 0.3
+    scen = str(SCENARIO_DIR / "ori_smooth.json")
+    flags = ["--grid-override", "0.1", "--tmax", "0.3", "--out", str(tmp_path)]
+    assert main(["check", scen, *flags]) == 0
+    _, rows = read_csv(tmp_path / "log_argument.csv")
+    levels = np.unique(rows[:, 0])
+    assert len(levels) == 4
+    assert levels[-1] == pytest.approx(0.3)
+
+
+SHIPPED_SIMULATE = {
+    "minkowski_wave": (0, None),
+    "ori_blowup": (
+        4,
+        "blow-up detected at t=4, vtheta=1.80302, component -1: "
+        "null residual breach (value 0.0019583)",
+    ),
+    "ori_psi_negative": (0, None),
+    "ori_smooth": (0, None),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_SIMULATE))
+def test_shipped_scenarios_simulate_outcome(name, tmp_path, capsys):
+    # each at its own step and t_max; ori_global (exit 5 after about 5 s) is
+    # left out
+    code = main(["simulate", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    expect_code, last = SHIPPED_SIMULATE[name]
+    assert code == expect_code
+    if last is not None:
+        assert lines[-1] == last
+    else:
+        assert not any("blow-up" in line for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import harmonic_xy_model, product_xy_model
 from oracles import (
     christoffels,
+    einsum_null_residuals,
     finite_difference_christoffels,
     lorentzian_signature_ok,
     verify_christoffels_numerically,
@@ -17,6 +19,7 @@ from stringsheet import (
     OriGeneral,
     OriQuadratic,
 )
+from stringsheet.lightcone import relative_null_residuals
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -183,3 +186,45 @@ def test_harmonic_residual():
         f_z=lambda x, y, z: np.zeros_like(np.asarray(x, dtype=float)),
     )
     assert bad.harmonic_residual(np.zeros((1, 4))) > 1.0
+
+
+def z_dependent_model():
+    """Non-polynomial harmonic profile f = e^x cos y (1 + z^2), with f_z != 0."""
+    return OriGeneral(
+        f=lambda x, y, z: np.exp(x) * np.cos(y) * (1.0 + z * z),
+        f_x=lambda x, y, z: np.exp(x) * np.cos(y) * (1.0 + z * z),
+        f_y=lambda x, y, z: -np.exp(x) * np.sin(y) * (1.0 + z * z),
+        f_z=lambda x, y, z: 2.0 * z * np.exp(x) * np.cos(y),
+        name="ori_general(exp-cos-z)",
+    )
+
+
+NULL_FORM_MODELS = [Minkowski(3), OriQuadratic(1.3), z_dependent_model()]
+
+
+@given(
+    model=st.sampled_from(NULL_FORM_MODELS),
+    batch=st.sampled_from([(), (1,), (7,)]),
+    data=st.data(),
+)
+def test_relative_null_residuals_match_the_metric_contraction(model, batch, data):
+    # the direct null forms add the nonzero terms of the full contraction
+    uu, pp, qq = (
+        data.draw(arrays(np.float64, batch + (4,), elements=st.floats(-3.0, 3.0)))
+        for _ in range(3)
+    )
+    got = relative_null_residuals(model, uu, pp, qq)
+    expect = einsum_null_residuals(model, uu, pp, qq)
+    for g, e in zip(got, expect):
+        assert np.shape(g) == batch
+        assert np.max(np.abs(g - e), initial=0.0) <= 8 * np.finfo(float).eps
+
+
+def test_null_forms_are_the_line_element():
+    # ds^2 = dx^2 + dy^2 - 2 dz dt + (f - t) dz^2 at f - t = -3
+    gp, gq, scale = OriQuadratic(2.0).null_forms(
+        np.array([3.0, 1.0, 1.0, 5.0]), np.array([1.0, 2.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 2.0])
+    )
+    assert (gp, gq, scale) == (4.0 - 2.0 - 3.0, 1.0 - 12.0, 3.0)
+    gp, gq, scale = Minkowski(3).null_forms(np.zeros(4), np.array([2.0, 1.0, 1.0, 1.0]), np.ones(4))
+    assert (gp, gq, scale) == (-1.0, 2.0, 1.0)
