@@ -159,9 +159,9 @@ def _log_argument_blocks(cf, t_nodes, vtheta):
         yield np.column_stack([tt, vv, cf.log_argument(tt, vv)])
 
 
-def _snapshot_writer(model, grid, mesh, out_dir: Path):
-    """``write(m, u, p, q)`` writes level m as a snapshot CSV and returns its
-    file name."""
+def _snapshot_writer(model, grid, cmap, out_dir: Path):
+    """``write(m, u, p, q)`` writes level m, with its theta, as a snapshot
+    CSV and returns its file name."""
     header = (
         ["t", "vartheta", "theta"]
         + [f"{f}{c}" for f in "upq" for c in range(model.dim)]
@@ -172,7 +172,8 @@ def _snapshot_writer(model, grid, mesh, out_dir: Path):
         lo, hi = grid.valid_bounds(m)
         rp, rq = lightcone.relative_null_residuals(model, uu, pp, qq)
         t_here = np.full(hi - lo, m * grid.step)
-        columns = [t_here, grid.vtheta[lo:hi], mesh.theta[m, lo:hi], uu, pp, qq, rp, rq]
+        theta = transport.build_inverse_map(cmap, grid.t_nodes[m : m + 1], grid.vtheta[lo:hi]).theta
+        columns = [t_here, grid.vtheta[lo:hi], theta[0], uu, pp, qq, rp, rq]
         name = out_dir / f"snapshot_{m:05d}.csv"
         _write_csv(name, header, np.column_stack(columns))
         return name.name
@@ -182,12 +183,26 @@ def _snapshot_writer(model, grid, mesh, out_dir: Path):
 
 def _speed_ordering_violation(cmap, grid):
     """The first (t, vartheta, lam-, lam+) where the transported speeds lose
-    their order, or None; checked in level batches."""
+    their order, printed, or None; checked in level batches."""
     for levels in _level_batches(grid.t_nodes, len(grid.vtheta)):
         fields = transport.solve_riemann_invariants(cmap, levels, grid.vtheta)
         if not fields.ordering_ok:
+            t, v, _, _ = fields.violation
+            print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
             return fields.violation
     return None
+
+
+def _speed_blocks(cmap, grid):
+    """(t, vartheta, theta, lam-, lam+) rows in level batches."""
+    vtheta = grid.vtheta
+    for levels in _level_batches(grid.t_nodes, len(vtheta)):
+        fields = transport.solve_riemann_invariants(cmap, levels, vtheta)
+        mesh = transport.build_inverse_map(cmap, levels, vtheta)
+        yield np.column_stack(
+            [np.repeat(levels, len(vtheta)), np.tile(vtheta, len(levels)),
+             mesh.theta.ravel(), fields.lam_minus.ravel(), fields.lam_plus.ravel()]
+        )
 
 
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
@@ -199,13 +214,9 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
         return EXIT_PHYSICALITY
     cmap = transport.build_theta0(data)
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
-    violation = _speed_ordering_violation(cmap, grid)
-    if violation is not None:
-        t, v, lm, lp = violation
-        print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
+    if _speed_ordering_violation(cmap, grid) is not None:
         return EXIT_PHYSICALITY
-    mesh = transport.build_inverse_map(cmap, grid.t_nodes, grid.vtheta)
-    write = _snapshot_writer(model, grid, mesh, out_dir)
+    write = _snapshot_writer(model, grid, cmap, out_dir)
     stride = max(1, scenario.snapshot_stride)
     snapshots, last = [], []
 
@@ -304,8 +315,7 @@ def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
-    model, data = _prepare(scenario)
-    del model
+    _, data = _prepare(scenario)
     _write_csv(
         out_dir / "initial_speeds.csv",
         ["theta", "lambda_minus", "lambda_plus", "lagrangian_density"],
@@ -313,21 +323,12 @@ def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
     )
     cmap = transport.build_theta0(data)
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
-    fields = transport.solve_riemann_invariants(cmap, grid.t_nodes, grid.vtheta)
-    if not fields.ordering_ok:
-        t, v, lm, lp = fields.violation
-        print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
+    if _speed_ordering_violation(cmap, grid) is not None:
         return EXIT_PHYSICALITY
-    mesh = transport.build_inverse_map(cmap, grid.t_nodes, grid.vtheta)
-    levels = (
-        np.column_stack([np.full_like(grid.vtheta, t), grid.vtheta, mesh.theta[m],
-                         fields.lam_minus[m], fields.lam_plus[m]])
-        for m, t in enumerate(grid.t_nodes)
-    )
     _write_csv(
         out_dir / "speeds_field.csv",
         ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"],
-        levels,
+        _speed_blocks(cmap, grid),
     )
     print(f"wrote speed tables to {out_dir}")
     return EXIT_OK

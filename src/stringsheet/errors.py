@@ -23,8 +23,8 @@ class WindowError(StringSheetError):
 
 
 class NumericalConsistencyError(StringSheetError):
-    """An internal cross-check (path independence, derivative consistency)
-    exceeded its tolerance while the fields remained bounded."""
+    """The derivative-consistency monitor of the lattice march exceeded its
+    tolerance while the fields stayed bounded (the inverse map is exact)."""
 
 
 class DomainTruncationError(StringSheetError):

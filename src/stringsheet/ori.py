@@ -28,8 +28,8 @@ import numpy as np
 from .config import DEFAULT_THRESHOLDS
 from .errors import ConfigError, DomainTruncationError
 from .lightcone import LightconeGrid, corners, initial_lightcone_data, march
-from .transport import CoordinateMap, _continue
-from .worldsheet import Profile, StringInitialData
+from .transport import CoordinateMap
+from .worldsheet import Profile, StringInitialData, _continue
 
 __all__ = [
     "OriClosedForm",

@@ -4,8 +4,8 @@ The two speeds form a 2x2 quasilinear system in which each speed is
 constant along the other family's characteristics.  A conservation identity
 lets us build a strictly increasing coordinate in which both families
 travel at unit speed, so the system is solved exactly by shifting the
-initial profiles; the original coordinate is recovered by integrating the
-inverse differential with a midpoint march.
+initial profiles, and the original coordinate is recovered in closed form
+from the antiderivatives of those profiles.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
-from .errors import CausalityError, NumericalConsistencyError
-from .worldsheet import Profile, StringInitialData
+from .errors import CausalityError
+from .worldsheet import Profile, StringInitialData, _continue
 
 __all__ = [
     "CoordinateMap",
@@ -28,23 +28,6 @@ __all__ = [
     "build_inverse_map",
     "rectangle_residual",
 ]
-
-
-def _continue(table, nodes, period, image_period, x, slopes):
-    """Evaluate a monotone table past its nodes: on a ring it winds, gaining
-    ``image_period`` per ``period``; on a line it continues linearly with
-    ``slopes`` at its first and last node."""
-    x = np.asarray(x, dtype=float)
-    if period is not None:
-        k = np.floor((x - nodes[0]) / period)
-        return table(x - k * period) + k * image_period
-    lo, hi = nodes[0], nodes[-1]
-    out = table(np.clip(x, lo, hi))  # the edge values past the ends
-    return (
-        out
-        + np.where(x < lo, slopes[0] * (x - lo), 0.0)
-        + np.where(x > hi, slopes[1] * (x - hi), 0.0)
-    )
 
 
 @dataclass
@@ -164,49 +147,28 @@ def solve_riemann_invariants(
 
 @dataclass
 class WorldsheetMesh:
-    """theta(t, vtheta) reconstruction table on the same lattice."""
+    """theta(t, vtheta) on a (levels, nodes) lattice."""
 
-    t_nodes: np.ndarray
-    vtheta_nodes: np.ndarray
-    theta: np.ndarray  # shape (levels, nodes)
-
-
-_RECTANGLES = 6
-_RECTANGLE_SEED = 20121
+    theta: np.ndarray
 
 
 def build_inverse_map(cmap: CoordinateMap, t_nodes, vtheta_nodes) -> WorldsheetMesh:
-    """March d theta = ((lam+ - lam-)/2) d vtheta + ((lam+ + lam-)/2) dt in t
-    with the midpoint rule from theta(0, .) = theta0^{-1}.
-
-    The differential is exact, so integrating vtheta-first and t-first
-    around six seeded lattice rectangles must agree to 10 h^2; disagreement
-    raises a consistency error.
-    """
-    t = np.asarray(t_nodes, dtype=float)
+    """theta on the product lattice: the speeds are the shifted profiles
+    Lam-(vtheta - t) and Lam+(vtheta + t), so the exact differential
+    d theta = ((lam+ - lam-)/2) d vtheta + ((lam+ + lam-)/2) dt integrates
+    to theta0^{-1}(vtheta) + [G+(vtheta + t) - G+(vtheta)]/2
+    - [G-(vtheta - t) - G-(vtheta)]/2, G+- the antiderivatives of Lam+-.
+    Each point is evaluated on its own, so a slice of the lattice gives the
+    bits of the whole."""
+    t = np.asarray(t_nodes, dtype=float)[:, None]
     s = np.asarray(vtheta_nodes, dtype=float)
-    theta = np.empty((len(t), len(s)))
-    theta[0] = cmap.theta0_inverse(s)
-    for m in range(len(t) - 1):
-        dt = t[m + 1] - t[m]
-        tm = t[m] + 0.5 * dt
-        drift = 0.5 * (cmap.lam_plus_bar(s + tm) + cmap.lam_minus_bar(s - tm))
-        theta[m + 1] = theta[m] + dt * drift
-    mesh = WorldsheetMesh(t_nodes=t, vtheta_nodes=s, theta=theta)
-    if len(t) > 2 and len(s) > 2:
-        step = float(t[1] - t[0])
-        rng = np.random.default_rng(_RECTANGLE_SEED)
-        worst = 0.0
-        for _ in range(_RECTANGLES):
-            m = int(rng.integers(1, len(t)))
-            ja, jb = sorted(rng.choice(len(s), size=2, replace=False))
-            worst = max(worst, abs(rectangle_residual(cmap, t[m], s[ja], s[jb], step)))
-        if worst > 10.0 * step**2:
-            raise NumericalConsistencyError(
-                f"coordinate reconstruction is path dependent "
-                f"(residual {worst:.3e} > {10.0 * step**2:.3e})"
-            )
-    return mesh
+    g_plus, g_minus = cmap.lam_plus_bar.integral, cmap.lam_minus_bar.integral
+    theta = (
+        cmap.theta0_inverse(s)
+        + 0.5 * (g_plus(s + t) - g_plus(s))
+        - 0.5 * (g_minus(s - t) - g_minus(s))
+    )
+    return WorldsheetMesh(theta=theta)
 
 
 def _midpoint_rule(f, lo, hi, step):
@@ -219,7 +181,7 @@ def _midpoint_rule(f, lo, hi, step):
 
 def rectangle_residual(cmap, t_hi, s_a, s_b, step) -> float:
     """Difference between the two integration orders over the rectangle
-    [0, t_hi] x [s_a, s_b]; zero in the continuum."""
+    [0, t_hi] x [s_a, s_b]; zero in the continuum (a test oracle)."""
 
     def along_s(t):  # d theta / d vtheta at fixed t
         return lambda s: 0.5 * (cmap.lam_plus_bar(s + t) - cmap.lam_minus_bar(s - t))

@@ -103,6 +103,23 @@ def fourth_order_derivative(values: np.ndarray, spacing: float, periodic: bool) 
     return out
 
 
+def _continue(table, nodes, period, image_period, x, slopes):
+    """Evaluate a monotone table past its nodes: on a ring it winds, gaining
+    ``image_period`` per ``period``; on a line it continues linearly with
+    ``slopes`` at its first and last node."""
+    x = np.asarray(x, dtype=float)
+    if period is not None:
+        k = np.floor((x - nodes[0]) / period)
+        return table(x - k * period) + k * image_period
+    lo, hi = nodes[0], nodes[-1]
+    out = table(np.clip(x, lo, hi))  # the edge values past the ends
+    return (
+        out
+        + np.where(x < lo, slopes[0] * (x - lo), 0.0)
+        + np.where(x > hi, slopes[1] * (x - hi), 0.0)
+    )
+
+
 class Profile:
     """Cubic spline of samples y at nodes x along axis 0, extended past its
     nodes by the domain's rule.
@@ -111,7 +128,8 @@ class Profile:
     as lo + mod(s - lo, period) (a ring).  With ``period=None`` it is
     not-a-knot and its argument is clipped to [x[0], x[-1]], so the curve
     holds its edge values (a line).  ``profile(s, nu)`` is the value or the
-    nu-th derivative.
+    nu-th derivative, and ``profile.integral(s)`` the antiderivative from
+    x[0], continued by the same rule.
     """
 
     def __init__(self, x, y, period):
@@ -130,6 +148,23 @@ class Profile:
         if self.period is None:
             return self._spline(np.clip(s, self.lo, self.hi), nu)
         return self._spline(self.lo + np.mod(s - self.lo, self.period), nu)
+
+    @cached_property
+    def _antiderivative(self):
+        g = self._spline.antiderivative()
+        # a periodic spline's antiderivative does not extrapolate; s may wrap below lo
+        g.extrapolate = True
+        return g
+
+    def integral(self, s):
+        """Integral of the profile from x[0] to s: on a ring it winds by its
+        integral over one period, on a line it continues linearly with the
+        edge values the profile holds."""
+        g = self._antiderivative
+        if self.period is None:
+            ends = np.array([self.lo, self.hi])
+            return _continue(g, ends, None, None, s, self._spline(ends))
+        return _continue(g, [self.lo], self.period, g(self.lo + self.period), s, None)
 
 
 @dataclass

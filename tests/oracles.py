@@ -12,8 +12,9 @@ check:
   finite-difference oracle built from ``metric`` alone, and the relative
   null residuals contracted with the full metric tensor;
 * transport: a coordinate map built directly from straightened speed
-  profiles, the conservation-identity residual, and RK4 tracing of
-  characteristics in the original coordinate;
+  profiles, the midpoint march of the inverse map, the
+  conservation-identity residual, and RK4 tracing of characteristics in
+  the original coordinate;
 * the closed form: the pointwise partials that ``ori.LatticeTables``
   gathers, and the p- and q-route log arguments, integrated by
   Gauss-Legendre quadrature over the spline knots.
@@ -21,7 +22,7 @@ check:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import PchipInterpolator
 
 from stringsheet import DEFAULT_THRESHOLDS, OriGeneral
@@ -387,6 +388,39 @@ def map_from_profiles(
         lam_minus_bar=Profile(vth_ext[:nodes], lm[:nodes], period),
         lam_plus_bar=Profile(vth_ext[:nodes], lp[:nodes], period),
     )
+
+
+def quad_across(f, a, b, breaks):
+    """Integral of f from a to b by adaptive quadrature to 1e-13, split at
+    every one of ``breaks`` that lies between them (the knots of a spline
+    integrand), so each piece is smooth."""
+    lo, hi = min(a, b), max(a, b)
+    breaks = np.asarray(breaks, dtype=float)
+    inside = np.unique(breaks[(breaks > lo) & (breaks < hi)])
+    value, _ = quad(f, lo, hi, points=inside, limit=len(inside) + 50, epsabs=1e-13, epsrel=1e-13)
+    return value if b >= a else -value
+
+
+def ring_knots(nodes, period, reach):
+    """The knots of a ring spline over ``nodes``, repeated every period out
+    to ``reach`` periods on both sides."""
+    return (np.asarray(nodes)[None, :] + period * np.arange(-reach, reach + 1)[:, None]).ravel()
+
+
+def midpoint_inverse_map(cmap, t_nodes, vtheta_nodes) -> np.ndarray:
+    """theta on the (levels, nodes) lattice by marching
+    d theta / dt = (lam+ + lam-) / 2 in t with the midpoint rule from
+    theta(0, .) = theta0^{-1}; second order in the level spacing."""
+    t = np.asarray(t_nodes, dtype=float)
+    s = np.asarray(vtheta_nodes, dtype=float)
+    theta = np.empty((len(t), len(s)))
+    theta[0] = cmap.theta0_inverse(s)
+    for m in range(len(t) - 1):
+        dt = t[m + 1] - t[m]
+        tm = t[m] + 0.5 * dt
+        drift = 0.5 * (cmap.lam_plus_bar(s + tm) + cmap.lam_minus_bar(s - tm))
+        theta[m + 1] = theta[m] + dt * drift
+    return theta
 
 
 def _slice_profile(theta_row, values, period):

@@ -179,6 +179,33 @@ def test_speeds_outputs(tmp_path, capsys):
     assert field[0] == "t,vartheta,theta,lambda_minus,lambda_plus"
 
 
+def test_speeds_ordering_break_exits_2_without_the_field_file(tmp_path, capsys):
+    # a flat line string with in-plane velocity 0.5 theta has speeds
+    # -0.5 theta -+ 1: ordered at each node, but lam- at theta = -5 meets
+    # lam+ at theta = -1, and the transported speeds cross at t = 2
+    cfg = {
+        "metric": {"model": "minkowski", "spatial_dim": 2},
+        "domain": {"kind": "line", "window": [-5.0, 5.0]},
+        "grid": {"h": 0.05, "t_max": 2.0},
+        "initial_data": {
+            "phi": [
+                {"family": "constant", "value": 0.0},
+                {"family": "linear", "slope": 1.0, "offset": 0.0},
+                {"family": "constant", "value": 0.0},
+            ],
+            "psi": [
+                {"family": "constant", "value": 1.0},
+                {"family": "linear", "slope": 0.5, "offset": 0.0},
+                {"family": "constant", "value": 0.0},
+            ],
+        },
+    }
+    out_dir = tmp_path / "sp"
+    assert main(["speeds", str(write_scenario(tmp_path, cfg)), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().out == "speed ordering breaks at t=2, vartheta=-3\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["initial_speeds.csv"]
+
+
 def test_constant_speed_columns(tmp_path):
     # minkowski circle with unit-length tangent: speeds are +-1 constants
     cfg = {
@@ -272,10 +299,11 @@ def traced_peak(argv):
 
 @pytest.mark.parametrize("command, denom", [("simulate", 256), ("compare", 192)])
 def test_peak_memory_does_not_scale_with_levels(tmp_path, command, denom):
-    # Four times the levels may raise the peak by at most half.  Only the
-    # theta table (one float per lattice node) and the speed-ordering slices
-    # grow with the levels; with whole (levels, nodes, 4) lattices the peak
-    # grew 3.6x (simulate) and 3.8x (compare) on these scenarios.
+    # Four times the levels may raise the peak by at most half.  The march
+    # holds one diagonal, the speed ordering is checked in level batches and
+    # theta is evaluated per written level; with whole (levels, nodes, 4)
+    # lattices the peak grew 3.6x (simulate) and 3.8x (compare) on these
+    # scenarios.
     peaks = []
     for t_max in (2.0, 8.0):
         cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / denom), t_max=t_max, stride=10**6)
@@ -285,6 +313,24 @@ def test_peak_memory_does_not_scale_with_levels(tmp_path, command, denom):
         assert code == 0
         peaks.append(peak)
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("command", ["speeds", "simulate"])
+def test_transport_memory_does_not_grow_with_t_max(tmp_path, monkeypatch, command):
+    # speeds transports and writes, and simulate checks the speed ordering,
+    # in batches of about five levels, and theta is evaluated only on the
+    # levels written, so four times t_max leaves the peak where it was; with
+    # whole-lattice speed and theta tables it grew 3.6x (speeds) and 1.8x
+    # (simulate) here
+    monkeypatch.setattr(cli, "LEVEL_BATCH", 1024)
+    peaks = []
+    for t_max in (8.0, 32.0):
+        cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=t_max, stride=10**6)
+        path = write_scenario(tmp_path, cfg, f"t{t_max:g}.json")
+        code, peak = traced_peak([command, str(path), "--out", str(tmp_path / f"t{t_max:g}")])
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize(
@@ -437,6 +483,15 @@ def test_shipped_scenarios_simulate_outcome(name, tmp_path, capsys):
         assert lines[-1] == last
     else:
         assert not any("blow-up" in line for line in lines)
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_SIMULATE))
+def test_shipped_scenarios_speeds_outcome(name, tmp_path, capsys):
+    # each at its own step and t_max; ori_global (t <= 50, 134 MB of
+    # output) is left out
+    code = main(["speeds", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote speed tables to {tmp_path}"]
 
 
 # ---------------------------------------------------------------------------

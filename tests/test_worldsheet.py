@@ -20,6 +20,8 @@ from oracles import (
     linear_degeneracy_residuals_fd,
     null_pair,
     ordering_sweep_loop,
+    quad_across,
+    ring_knots,
     smallness_flag,
     speed_gradients,
     system_matrix,
@@ -394,6 +396,42 @@ def test_profile_matches_spline_oracle_bit_for_bit(nodes, lo, spacing, ring, col
     got = Profile(x, y, period)(s, nu=nu)
     assert got.shape == s.shape + y.shape[1:]
     assert np.array_equal(got, profile_oracle(x, y, period, s, nu))
+
+
+def ring_profile():
+    """Nodes and a ring profile over them, the first node not at 0, with a
+    nonzero mean."""
+    x = 0.3 + (2.0 * np.pi / 64) * np.arange(64)
+    return x, Profile(x, 1.0 + 0.5 * np.sin(x) + 0.2 * np.cos(3.0 * x), 2.0 * np.pi)
+
+
+def test_ring_profile_integral_matches_quadrature_periods_away():
+    # the integral from the first node winds by its value over one period
+    x, prof = ring_profile()
+    knots = ring_knots(x, prof.period, 5)
+    s = np.array([-25.0, -13.7, -2.0, prof.lo, 1.1, prof.lo + prof.period, 9.4, 27.9])
+    expect = [quad_across(prof, prof.lo, v, knots) for v in s]
+    assert np.allclose(prof.integral(s), expect, rtol=0.0, atol=1e-12)
+
+
+def test_line_profile_integral_matches_quadrature_past_both_ends():
+    # past each end the profile holds its edge value, so the integral
+    # continues linearly with it
+    x = np.linspace(-2.0, 3.0, 51)
+    prof = Profile(x, np.exp(-x) * np.cos(2.0 * x), None)
+    s = np.array([-9.0, -2.5, -2.0, 0.73, 3.0, 3.2, 11.0])
+    expect = [quad_across(prof, x[0], v, x) for v in s]
+    assert np.allclose(prof.integral(s), expect, rtol=0.0, atol=1e-12)
+
+
+def test_ring_profile_integral_is_finite_at_the_period_seams():
+    # lo + k period rounds to either side of a seam, and the wrapped argument
+    # may land just below lo, where a periodic spline's antiderivative reads
+    # NaN unless it extrapolates
+    _, prof = ring_profile()
+    k = np.arange(-12, 13)
+    s = prof.lo + k * prof.period * np.array([[1.0 + 1e-16], [1.0 - 1e-16]])
+    assert np.all(np.isfinite(prof.integral(s)))
 
 
 # ---------------------------------------------------------------------------
