@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,22 +54,32 @@ CSV_BLOCK_ROWS = 4096  # rows formatted by one ``%`` operation
 LEVEL_BATCH = 1 << 16  # lattice points per batch of whole levels
 
 
+def _format_once(col):
+    """``%.17g`` text of a float column, one format per distinct bit pattern
+    (so ``-0.0`` keeps its ``-0``)."""
+    bits, inverse = np.unique(np.ascontiguousarray(col, float).view(np.uint64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)[inverse]
+
+
 def _write_csv(path: Path, header, table):
-    """Write a float table as CSV, every value as ``%.17g`` (17 significant
+    """Write a table as CSV, every float as ``%.17g`` (17 significant
     digits, so each float64 reads back exactly).
 
-    ``table`` is a 2-D array or an iterable of 2-D blocks, one column per
-    header name.  Each block is written ``CSV_BLOCK_ROWS`` rows at a time,
-    so memory above the blocks themselves stays O(rows per block)."""
+    ``table`` is a 2-D float array or an iterable of blocks, one column per
+    header name; a block is a 2-D float array or a list of columns, each a
+    float array or ``_format_once`` text.  Rows are gathered and formatted
+    ``CSV_BLOCK_ROWS`` at a time, so memory above the blocks themselves
+    stays O(rows per block)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     blocks = [table] if isinstance(table, np.ndarray) else table
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            for start in range(0, len(block), CSV_BLOCK_ROWS):
-                part = block[start : start + CSV_BLOCK_ROWS]
-                fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            cols = list(block.T) if isinstance(block, np.ndarray) else block
+            row = ",".join("%s" if c.dtype == object else "%.17g" for c in cols) + "\n"
+            for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+                part = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in cols]
+                fh.write(row * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
 
 
 def _write_manifest(path: Path, payload: dict):
@@ -151,12 +162,12 @@ def _level_batches(t_nodes, nodes):
 
 
 def _log_argument_blocks(cf, t_nodes, vtheta):
-    """(t, vartheta, log argument) rows level by level, evaluated pointwise
-    in level batches."""
+    """(t, vartheta, log argument) columns level by level, evaluated
+    pointwise in level batches; t and vartheta as text."""
+    v_text = _format_once(vtheta)
     for levels in _level_batches(t_nodes, len(vtheta)):
-        tt = np.repeat(levels, len(vtheta))
-        vv = np.tile(vtheta, len(levels))
-        yield np.column_stack([tt, vv, cf.log_argument(tt, vv)])
+        log_arg = cf.log_argument(np.repeat(levels, len(vtheta)), np.tile(vtheta, len(levels)))
+        yield [np.repeat(_format_once(levels), len(vtheta)), np.tile(v_text, len(levels)), log_arg]
 
 
 def _snapshot_writer(model, grid, cmap, out_dir: Path):
@@ -181,28 +192,37 @@ def _snapshot_writer(model, grid, cmap, out_dir: Path):
     return write
 
 
-def _speed_ordering_violation(cmap, grid):
-    """The first (t, vartheta, lam-, lam+) where the transported speeds lose
-    their order, printed, or None; checked in level batches."""
+def _ordered_batches(cmap, grid, breaks):
+    """(levels, transported speeds) in level batches, up to the first batch
+    whose speeds lose their order: that break is printed and appended to
+    ``breaks``."""
     for levels in _level_batches(grid.t_nodes, len(grid.vtheta)):
         fields = transport.solve_riemann_invariants(cmap, levels, grid.vtheta)
         if not fields.ordering_ok:
             t, v, _, _ = fields.violation
             print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
-            return fields.violation
-    return None
+            breaks.append(fields.violation)
+            return
+        yield levels, fields
 
 
-def _speed_blocks(cmap, grid):
-    """(t, vartheta, theta, lam-, lam+) rows in level batches."""
-    vtheta = grid.vtheta
-    for levels in _level_batches(grid.t_nodes, len(vtheta)):
-        fields = transport.solve_riemann_invariants(cmap, levels, vtheta)
-        mesh = transport.build_inverse_map(cmap, levels, vtheta)
-        yield np.column_stack(
-            [np.repeat(levels, len(vtheta)), np.tile(vtheta, len(levels)),
-             mesh.theta.ravel(), fields.lam_minus.ravel(), fields.lam_plus.ravel()]
-        )
+def _speed_ordering_violation(cmap, grid):
+    """The first (t, vartheta, lam-, lam+) where the transported speeds lose
+    their order, printed, or None; checked in level batches."""
+    breaks = []
+    for _ in _ordered_batches(cmap, grid, breaks):
+        pass
+    return breaks[0] if breaks else None
+
+
+def _speed_blocks(cmap, grid, breaks):
+    """(t, vartheta, theta, lam-, lam+) columns of ``_ordered_batches``, all
+    but theta as text."""
+    vtheta, v_text = grid.vtheta, _format_once(grid.vtheta)
+    for levels, fields in _ordered_batches(cmap, grid, breaks):
+        theta = transport.build_inverse_map(cmap, levels, vtheta).theta.ravel()
+        yield [np.repeat(_format_once(levels), len(vtheta)), np.tile(v_text, len(levels)), theta,
+               _format_once(fields.lam_minus.ravel()), _format_once(fields.lam_plus.ravel())]
 
 
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
@@ -323,13 +343,12 @@ def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
     )
     cmap = transport.build_theta0(data)
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
-    if _speed_ordering_violation(cmap, grid) is not None:
+    field, breaks = out_dir / "speeds_field.csv", []
+    header = ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"]
+    _write_csv(field, header, _speed_blocks(cmap, grid, breaks))
+    if breaks:  # the rows before the break are not a speed field
+        field.unlink()
         return EXIT_PHYSICALITY
-    _write_csv(
-        out_dir / "speeds_field.csv",
-        ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"],
-        _speed_blocks(cmap, grid),
-    )
     print(f"wrote speed tables to {out_dir}")
     return EXIT_OK
 

@@ -179,11 +179,12 @@ def test_speeds_outputs(tmp_path, capsys):
     assert field[0] == "t,vartheta,theta,lambda_minus,lambda_plus"
 
 
-def test_speeds_ordering_break_exits_2_without_the_field_file(tmp_path, capsys):
-    # a flat line string with in-plane velocity 0.5 theta has speeds
-    # -0.5 theta -+ 1: ordered at each node, but lam- at theta = -5 meets
-    # lam+ at theta = -1, and the transported speeds cross at t = 2
-    cfg = {
+def crossing_line_dict():
+    """A flat line string with in-plane velocity 0.5 theta: its speeds
+    -0.5 theta -+ 1 are ordered at each node, but lam- at theta = -5 meets
+    lam+ at theta = -1, and the transported speeds cross at t = 2 (level 40
+    of 41, 201 nodes a level)."""
+    return {
         "metric": {"model": "minkowski", "spatial_dim": 2},
         "domain": {"kind": "line", "window": [-5.0, 5.0]},
         "grid": {"h": 0.05, "t_max": 2.0},
@@ -200,10 +201,51 @@ def test_speeds_ordering_break_exits_2_without_the_field_file(tmp_path, capsys):
             ],
         },
     }
+
+
+def test_speeds_ordering_break_exits_2_without_the_field_file(tmp_path, capsys):
     out_dir = tmp_path / "sp"
-    assert main(["speeds", str(write_scenario(tmp_path, cfg)), "--out", str(out_dir)]) == 2
+    path = write_scenario(tmp_path, crossing_line_dict())
+    assert main(["speeds", str(path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().out == "speed ordering breaks at t=2, vartheta=-3\n"
     assert sorted(p.name for p in out_dir.iterdir()) == ["initial_speeds.csv"]
+
+
+def test_speeds_ordering_break_in_a_later_batch_leaves_no_field_file(
+    tmp_path, monkeypatch, capsys
+):
+    # four levels a batch: ten batches of rows are written before the
+    # eleventh, which holds the crossing level, breaks the ordering
+    monkeypatch.setattr(cli, "LEVEL_BATCH", 4 * 201)
+    assert [len(b) for b in cli._level_batches(np.arange(41.0), 201)] == [4] * 10 + [1]
+    out_dir = tmp_path / "sp"
+    path = write_scenario(tmp_path, crossing_line_dict())
+    assert main(["speeds", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().out == "speed ordering breaks at t=2, vartheta=-3\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["initial_speeds.csv"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0),
+        lambda: blowup_scenario_dict(h=0.1),
+    ],
+    ids=["ring", "line"],
+)
+@pytest.mark.parametrize("level_batch, block_rows", [(1 << 16, 4096), (300, 7)])
+def test_speeds_field_is_the_oracle_format_of_the_library_fields(
+    tmp_path, monkeypatch, make, level_batch, block_rows
+):
+    # the text columns and the single transport pass write the bytes of
+    # one format(x, ".17g") per library value, whatever the batching
+    monkeypatch.setattr(cli, "LEVEL_BATCH", level_batch)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    path = write_scenario(tmp_path, make())
+    assert main(["speeds", str(path), "--out", str(tmp_path / "sp")]) == 0
+    assert (tmp_path / "sp" / "speeds_field.csv").read_text() == oracle_csv(
+        CSV_HEADERS["speeds_field.csv"].split(","), library_speeds_field(path)
+    )
 
 
 def test_constant_speed_columns(tmp_path):
@@ -548,6 +590,59 @@ def test_writer_matches_oracle_on_random_blocks(table, block_rows, pieces):
             assert path.read_text() == expected
 
 
+# repeated values, both zeros, both NaN signs, infinities and subnormals,
+# so a helper that merged equal floats would write 0 for -0
+TEXT_POOL = EDGE_VALUES + [-np.nan, 1e-310]
+
+
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 40), st.integers(1, 5)),
+        elements=st.sampled_from(TEXT_POOL),
+    ),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+    st.integers(1, 9),
+    st.integers(1, 3),
+)
+def test_text_columns_match_oracle_on_repeated_edge_values(table, as_text, block_rows, pieces):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    for col in table.T:
+        assert cli._format_once(col).tolist() == [format(float(v), ".17g") for v in col]
+    cuts = np.linspace(0, len(table), pieces + 1).astype(int)
+    blocks = [
+        [cli._format_once(c) if text else c for c, text in zip(table[a:b].T, as_text)]
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+        path = Path(tmp) / "t.csv"
+        cli._write_csv(path, header, blocks)
+        assert path.read_text() == oracle_csv(header, table)
+
+
+def test_writer_peak_memory_does_not_grow_with_a_text_block(tmp_path):
+    # one block of 64 x CSV_BLOCK_ROWS rows is formatted in chunks, so its
+    # peak above the block itself is that of a block of 4 x CSV_BLOCK_ROWS
+    peaks = []
+    for chunks in (4, 64):
+        n = chunks * cli.CSV_BLOCK_ROWS
+        levels = np.repeat(0.01 * np.arange(n // 256), 256)
+        nodes = np.tile(np.linspace(-1.0, 1.0, 256), n // 256)
+        block = [
+            cli._format_once(levels),
+            cli._format_once(nodes),
+            np.sin(levels + nodes),
+            cli._format_once(np.round(nodes - levels, 3)),
+        ]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "t.csv", ["t", "v", "x", "y"], [block])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def library_run(path):
     """The pipeline of ``speeds`` and ``simulate`` called through the
     library, to hold the values their CSVs must contain."""
@@ -565,12 +660,11 @@ def library_run(path):
     return model, data, cmap, grid, fields, mesh
 
 
-def test_speeds_field_round_trips_exactly(tmp_path):
-    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5))
-    assert main(["speeds", str(path), "--out", str(tmp_path / "sp")]) == 0
+def library_speeds_field(path):
+    """The (t, vartheta, theta, lam-, lam+) rows ``speeds_field.csv`` must
+    hold, from the library."""
     _, _, _, grid, fields, mesh = library_run(path)
-    _, values = read_csv(tmp_path / "sp" / "speeds_field.csv")
-    expected = np.column_stack(
+    return np.column_stack(
         [
             np.repeat(grid.t_nodes, len(grid.vtheta)),
             np.tile(grid.vtheta, len(grid.t_nodes)),
@@ -579,7 +673,13 @@ def test_speeds_field_round_trips_exactly(tmp_path):
             fields.lam_plus.ravel(),
         ]
     )
-    assert np.array_equal(values, expected)
+
+
+def test_speeds_field_round_trips_exactly(tmp_path):
+    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5))
+    assert main(["speeds", str(path), "--out", str(tmp_path / "sp")]) == 0
+    _, values = read_csv(tmp_path / "sp" / "speeds_field.csv")
+    assert np.array_equal(values, library_speeds_field(path))
 
 
 def test_snapshot_round_trips_exactly(tmp_path):
