@@ -9,7 +9,6 @@ gives up.
 import numpy as np
 
 from stringsheet import (
-    Domain,
     OriClosedForm,
     OriQuadratic,
     build_grid,
@@ -25,7 +24,7 @@ def run_case(k, a=0.01, window=(-10.0, 10.0), nodes=801, step=0.02, t_max=9.0):
     n = len(th)
     phi = np.stack([np.zeros(n), th, np.zeros(n), np.zeros(n)], axis=1)
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), np.full(n, k)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.line())
+    data = build_initial_data(model, th, phi, psi, None)
     cmap = build_theta0(data)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=a)
     report = cf.existence_check(t_max)
@@ -52,7 +51,7 @@ def main():
         [np.zeros(n), 0.3 * np.sin(th), 2.5 + 0.3 * np.cos(th), np.zeros(n)], axis=1
     )
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), np.full(n, -0.5)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.closed(2.0 * np.pi))
+    data = build_initial_data(model, th, phi, psi, 2.0 * np.pi)
     cmap = build_theta0(data)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=1.0)
     print(f"  verdict: {cf.existence_check(50.0).describe()}")

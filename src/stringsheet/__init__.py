@@ -43,6 +43,6 @@ from .transport import (
     build_theta0,
     solve_riemann_invariants,
 )
-from .worldsheet import Domain, StringInitialData, build_initial_data, check_physicality
+from .worldsheet import StringInitialData, build_initial_data, check_physicality
 
 __version__ = "0.1.0"

@@ -61,21 +61,18 @@ def _format_once(col):
     return np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)[inverse]
 
 
-def _write_csv(path: Path, header, table):
-    """Write a table as CSV, every float as ``%.17g`` (17 significant
+def _write_csv(path: Path, header, blocks):
+    """Write blocks of rows as CSV, every float as ``%.17g`` (17 significant
     digits, so each float64 reads back exactly).
 
-    ``table`` is a 2-D float array or an iterable of blocks, one column per
-    header name; a block is a 2-D float array or a list of columns, each a
-    float array or ``_format_once`` text.  Rows are gathered and formatted
-    ``CSV_BLOCK_ROWS`` at a time, so memory above the blocks themselves
-    stays O(rows per block)."""
+    ``blocks`` is an iterable of blocks, each a list of columns, one per
+    header name: a float array or ``_format_once`` text.  Rows are gathered
+    and formatted ``CSV_BLOCK_ROWS`` at a time, so memory above the blocks
+    themselves stays O(rows per block)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    blocks = [table] if isinstance(table, np.ndarray) else table
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
-            cols = list(block.T) if isinstance(block, np.ndarray) else block
+        for cols in blocks:
             row = ",".join("%s" if c.dtype == object else "%.17g" for c in cols) + "\n"
             for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
                 part = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in cols]
@@ -89,17 +86,13 @@ def _write_manifest(path: Path, payload: dict):
 
 def _prepare(scenario: Scenario):
     model = build_model(scenario)
-    domain = build_domain(scenario)
+    period = build_domain(scenario)
     theta = build_theta_grid(scenario)
     phi, psi = build_initial_arrays(scenario, theta, model.dim)
     data = worldsheet.build_initial_data(
-        model, theta, phi, psi, domain, thresholds=scenario.thresholds
+        model, theta, phi, psi, period, thresholds=scenario.thresholds
     )
     return model, data
-
-
-def _is_ori(model) -> bool:
-    return isinstance(model, OriGeneral)
 
 
 def _closed_form(model, data, cmap, scenario):
@@ -129,7 +122,7 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
                 f"lam-(theta1)={lm:.6g} >= lam+(theta2)={lp:.6g}"
             )
         return EXIT_PHYSICALITY
-    if not _is_ori(model):
+    if not isinstance(model, OriGeneral):
         print("existence criterion: not applicable (flat model)")
         return EXIT_OK
     cmap = transport.build_theta0(data)
@@ -172,21 +165,23 @@ def _log_argument_blocks(cf, t_nodes, vtheta):
 
 def _snapshot_writer(model, grid, cmap, out_dir: Path):
     """``write(m, u, p, q)`` writes level m, with its theta, as a snapshot
-    CSV and returns its file name."""
+    CSV and returns its file name.  The vartheta row is formatted once, and
+    each level writes its valid slice of it."""
     header = (
         ["t", "vartheta", "theta"]
         + [f"{f}{c}" for f in "upq" for c in range(model.dim)]
         + ["null_residual_p", "null_residual_q"]
     )
+    v_text = _format_once(grid.vtheta)
 
     def write(m, uu, pp, qq):
         lo, hi = grid.valid_bounds(m)
         rp, rq = lightcone.relative_null_residuals(model, uu, pp, qq)
-        t_here = np.full(hi - lo, m * grid.step)
+        t_text = np.repeat(_format_once([m * grid.step]), hi - lo)
         theta = transport.build_inverse_map(cmap, grid.t_nodes[m : m + 1], grid.vtheta[lo:hi]).theta
-        columns = [t_here, grid.vtheta[lo:hi], theta[0], uu, pp, qq, rp, rq]
+        columns = [t_text, v_text[lo:hi], theta[0], *uu.T, *pp.T, *qq.T, rp, rq]
         name = out_dir / f"snapshot_{m:05d}.csv"
-        _write_csv(name, header, np.column_stack(columns))
+        _write_csv(name, header, [columns])
         return name.name
 
     return write
@@ -280,11 +275,10 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
 
 def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
     model, _ = _prepare(scenario)
-    if not _is_ori(model) or getattr(model, "a", None) is None:
+    if not isinstance(model, OriGeneral) or getattr(model, "a", None) is None:
         print("compare requires the quadratic plane-fronted model")
         return EXIT_PARSE
-    levels = int(scenario.raw.get("compare", {}).get("levels", 3))
-    steps = [scenario.step * 2.0**k for k in reversed(range(levels))]
+    steps = [scenario.step * 2.0**k for k in reversed(range(scenario.compare_levels))]
     errors = {c: [] for c in range(4)}
     for h in steps:
         sub = replace(scenario, grid={"h": h, "t_max": scenario.t_max})
@@ -319,18 +313,19 @@ def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
     print(f"{'h':>12} " + " ".join(f"{'u' + str(c):>12}" for c in range(4)))
     for k, h in enumerate(steps):
         print(f"{h:12.6f} " + " ".join(f"{errors[c][k]:12.4e}" for c in range(4)))
-    print("observed orders between consecutive refinements:")
-    for c in range(4):
-        orders = [
-            float(np.log2(errors[c][k] / errors[c][k + 1]))
-            for k in range(len(steps) - 1)
-            if errors[c][k + 1] > 0.0
-        ]
-        txt = ", ".join(f"{o:.2f}" for o in orders) if orders else "exact"
-        print(f"  u{c}: {txt}")
+    if len(steps) == 1:
+        print("observed orders: none, one rung has no refinement to compare with")
+    else:
+        print("observed orders between consecutive refinements:")
+        for c in range(4):
+            orders = [
+                "exact" if fine == 0.0 else f"{float(np.log2(coarse / fine)):.2f}"
+                for coarse, fine in zip(errors[c], errors[c][1:])
+            ]
+            print(f"  u{c}: {', '.join(orders)}")
     if out_dir is not None:
-        table = np.column_stack([steps] + [errors[c] for c in range(4)])
-        _write_csv(out_dir / "compare.csv", ["h", "err_u0", "err_u1", "err_u2", "err_u3"], table)
+        columns = [np.array(steps)] + [np.array(errors[c]) for c in range(4)]
+        _write_csv(out_dir / "compare.csv", ["h", "err_u0", "err_u1", "err_u2", "err_u3"], [columns])
     return EXIT_OK
 
 
@@ -339,7 +334,7 @@ def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
     _write_csv(
         out_dir / "initial_speeds.csv",
         ["theta", "lambda_minus", "lambda_plus", "lagrangian_density"],
-        np.column_stack([data.theta, data.lam_minus, data.lam_plus, data.lagrangian_density]),
+        [[data.theta, data.lam_minus, data.lam_plus, data.lagrangian_density]],
     )
     cmap = transport.build_theta0(data)
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)

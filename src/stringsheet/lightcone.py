@@ -44,16 +44,15 @@ __all__ = [
 class LightconeGrid:
     """Square lattice in (t, vtheta) with the initial line as a diagonal.
 
-    For closed strings the vtheta window is one period and indices wrap; on
-    a line window each level loses one node per side (pure initial-value
-    problem on the triangle of determinacy).  Every lattice is laid out by
-    ``over``.
+    On a ring the vtheta window is one ``period`` and indices wrap; on a
+    line (``period`` None) each level loses one node per side (pure
+    initial-value problem on the triangle of determinacy).  Every lattice is
+    laid out by ``over``.
     """
 
     step: float
     t_max: float
     vtheta: np.ndarray
-    periodic: bool
     period: Optional[float]
     n_levels: int
 
@@ -69,7 +68,6 @@ class LightconeGrid:
             step=step,
             t_max=t_max,
             vtheta=lo + step * np.arange(nodes),
-            periodic=period is not None,
             period=period,
             n_levels=int(np.floor(t_max / step + 1e-9)),
         )
@@ -86,6 +84,10 @@ class LightconeGrid:
         return int(np.floor(span / step + 1e-9)) + 1, step
 
     @property
+    def periodic(self) -> bool:
+        return self.period is not None
+
+    @property
     def t_nodes(self) -> np.ndarray:
         return self.step * np.arange(self.n_levels + 1)
 
@@ -99,10 +101,10 @@ class LightconeGrid:
 def build_grid(cmap: CoordinateMap, step: float, t_max: float) -> LightconeGrid:
     if step <= 0.0 or t_max <= 0.0:
         raise ConfigError("step and t_max must be positive")
-    lo = cmap.vtheta_nodes[0]
-    span = cmap.vtheta_period if cmap.periodic else cmap.vtheta_nodes[-1] - lo
-    nodes, step = LightconeGrid.row(span, step, cmap.periodic)
-    grid = LightconeGrid.over(lo, step, nodes, cmap.vtheta_period, t_max)
+    lo, period = cmap.vtheta_nodes[0], cmap.vtheta_period
+    span = cmap.vtheta_nodes[-1] - lo if period is None else period
+    nodes, step = LightconeGrid.row(span, step, period is not None)
+    grid = LightconeGrid.over(lo, step, nodes, period, t_max)
     if grid.n_levels < int(np.floor(t_max / step + 1e-9)):
         raise ConfigError(
             f"window supports only t <= {grid.t_max:.6g} "
@@ -160,7 +162,7 @@ def initial_lightcone_data(
     hold their edge values there); anything further raises WindowError.
     """
     theta_star = np.asarray(cmap.theta0_inverse(grid.vtheta), dtype=float)
-    if not data.domain.periodic:
+    if data.period is None:
         lo, hi = data.theta[0], data.theta[-1]
         span = hi - lo
         if np.any(theta_star < lo - 1e-9 * span) or np.any(theta_star > hi + 1e-9 * span):

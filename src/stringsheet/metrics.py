@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 
 __all__ = [
     "MetricModel",
@@ -58,7 +58,7 @@ class Minkowski(MetricModel):
 
     def __init__(self, spatial_dim: int = 3):
         if spatial_dim < 0:
-            raise ValueError("spatial_dim must be nonnegative")
+            raise ConfigError(f"'spatial_dim' must be nonnegative, got {spatial_dim}")
         self.dim = spatial_dim + 1
         self.name = f"minkowski({spatial_dim})"
         eta = np.eye(self.dim)
@@ -144,8 +144,10 @@ class OriGeneral(MetricModel):
         out[..., 3] = -0.5 * pq33
         return out
 
-    def harmonic_residual(self, points, step: float = 1e-4) -> float:
-        """Max |f_xx + f_yy| over probe points, by central differences."""
+    def harmonic_residual(self, points) -> float:
+        """Max |f_xx + f_yy| over probe points, by central differences of
+        step 1e-4."""
+        step = 1e-4
         pts = _as_points(points, 4)
         pts = pts.reshape(-1, 4)
         x, y, z = pts[:, 1], pts[:, 2], pts[:, 3]

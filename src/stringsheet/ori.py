@@ -52,16 +52,16 @@ def _composite_simpson(f, a, b, panels):
     return (b - a) / (3.0 * panels) * (y @ w)
 
 
-def _segment_integrals(f, nodes, tol=1e-13):
+def _segment_integrals(f, nodes):
     """Simpson integrals over consecutive node pairs, panel count doubled
-    until the Richardson estimate meets tol (vectorized adaptivity)."""
+    until the Richardson estimate is at most 1e-13 (vectorized adaptivity)."""
     a, b = nodes[:-1], nodes[1:]
     prev = _composite_simpson(f, a, b, 4)
     panels = 8
     cur = prev
     while panels <= 512:
         cur = _composite_simpson(f, a, b, panels)
-        if np.max(np.abs(cur - prev)) / 15.0 <= tol:
+        if np.max(np.abs(cur - prev)) / 15.0 <= 1e-13:
             break
         prev = cur
         panels *= 2
@@ -121,7 +121,8 @@ class OriClosedForm:
     cumulative table of the velocity integrand psi3 e^{-phi3/2} (at 2s, in
     s = vtheta/2), built at construction.  The log argument is the
     symmetrized velocity form of the closed form, the average of its
-    integrals along xi and along eta.
+    integrals along xi and along eta.  ``period`` is the ring's period in
+    vtheta, or None on a line.
     """
 
     def __init__(
@@ -130,26 +131,24 @@ class OriClosedForm:
         phi3_values: np.ndarray,
         p30_values: np.ndarray,
         q30_values: np.ndarray,
-        periodic: bool,
         period: Optional[float],
         coupling_constant: Optional[float] = None,
         eps_log: float = DEFAULT_THRESHOLDS.eps_log,
     ):
         self.vtheta_nodes = np.asarray(vtheta_nodes, dtype=float)
-        self.periodic = periodic
         self.period = period
         self.a = coupling_constant
         self.eps_log = float(eps_log)
         psi3 = 0.5 * (np.asarray(p30_values) + np.asarray(q30_values))
-        x, ring = self.vtheta_nodes, period if periodic else None
-        self.phi3_bar = Profile(x, phi3_values, ring)
-        self.psi3_bar = Profile(x, psi3, ring)
-        self.p30_bar = Profile(x, p30_values, ring)
-        self.q30_bar = Profile(x, q30_values, ring)
+        x = self.vtheta_nodes
+        self.phi3_bar = Profile(x, phi3_values, period)
+        self.psi3_bar = Profile(x, psi3, period)
+        self.p30_bar = Profile(x, p30_values, period)
+        self.q30_bar = Profile(x, q30_values, period)
         lo = x[0] / 2.0
-        hi = (x[0] + period) / 2.0 if periodic else x[-1] / 2.0
+        hi = (x[-1] if period is None else x[0] + period) / 2.0
         self._s_nodes = np.linspace(lo, hi, max(257, 4 * len(x) + 1))
-        self._s_period = hi - lo if periodic else None
+        self._s_period = None if period is None else hi - lo
         seg = _segment_integrals(self._integrand, self._s_nodes)
         self._table = np.concatenate([[0.0], np.cumsum(seg)])
         # slopes of the linear continuation past a line window
@@ -175,7 +174,6 @@ class OriClosedForm:
             phi3_values=data.phi[:, 3],
             p30_values=data.p0[:, 3],
             q30_values=data.q0[:, 3],
-            periodic=cmap.periodic,
             period=cmap.vtheta_period,
             coupling_constant=coupling_constant,
             eps_log=eps_log,
@@ -194,12 +192,8 @@ class OriClosedForm:
     ) -> "OriClosedForm":
         """Build directly from straightened-coordinate profiles."""
         lo, hi = map(float, window)
-        if periodic:
-            vth = np.linspace(lo, hi, nodes, endpoint=False)
-            period = hi - lo
-        else:
-            vth = np.linspace(lo, hi, nodes)
-            period = None
+        period = hi - lo if periodic else None
+        vth = np.linspace(lo, hi, nodes, endpoint=not periodic)
         phi = np.asarray(phi3_bar(vth), dtype=float) + np.zeros_like(vth)
         psi = np.asarray(psi3_bar(vth), dtype=float) + np.zeros_like(vth)
         dphi = Profile(vth, phi, period)(vth, nu=1)
@@ -208,7 +202,6 @@ class OriClosedForm:
             phi3_values=phi,
             p30_values=psi - dphi,
             q30_values=psi + dphi,
-            periodic=periodic,
             period=period,
             coupling_constant=coupling_constant,
             eps_log=eps_log,
@@ -262,9 +255,9 @@ class OriClosedForm:
 
     def scan_window(self):
         lo = float(self.vtheta_nodes[0])
-        if self.periodic:
-            return lo, lo + float(self.period)
-        return lo, float(self.vtheta_nodes[-1])
+        if self.period is None:
+            return lo, float(self.vtheta_nodes[-1])
+        return lo, lo + float(self.period)
 
     def scan_grid(self, t_max: float) -> LightconeGrid:
         """The lattice of the existence scan: one node per closed-form node,
@@ -274,7 +267,7 @@ class OriClosedForm:
         closes."""
         lo, hi = self.scan_window()
         n = len(self.vtheta_nodes)
-        step = self.period / n if self.periodic else (hi - lo) / (n - 1)
+        step = (hi - lo) / (n - 1) if self.period is None else self.period / n
         return LightconeGrid.over(lo, step, n, self.period, t_max)
 
     def existence_check(self, t_max: float) -> ExistenceReport:
@@ -304,7 +297,7 @@ class OriClosedForm:
             if grid.t_max > grid.t_nodes[-1]:
                 yield grid.t_max, min_arg(grid.t_max)
 
-        report = dict(t_end=grid.t_max, window=self.scan_window(), triangle=not self.periodic)
+        report = dict(t_end=grid.t_max, window=self.scan_window(), triangle=self.period is None)
         margin = np.inf
         t_prev = 0.0
         for t, m in level_minima():

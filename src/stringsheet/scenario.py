@@ -12,19 +12,21 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
+
 import numpy as np
 
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import ConfigError
 from .lightcone import LightconeGrid
 from .metrics import MetricModel, Minkowski, OriGeneral, OriQuadratic
-from .worldsheet import Domain
 
 __all__ = [
     "Scenario",
     "load_scenario",
     "scenario_from_dict",
     "build_model",
+    "build_domain",
     "build_theta_grid",
     "build_initial_arrays",
     "FAMILIES",
@@ -32,39 +34,39 @@ __all__ = [
 ]
 
 
-def _family_constant(theta, spec):
-    return np.full_like(theta, float(spec.get("value", 0.0)))
+def _finite(value, name) -> float:
+    """``value`` as a finite float, or a ConfigError naming ``name``: the one
+    conversion of every numeric scenario value."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
+    return number
 
 
-def _family_sine(theta, spec):
-    amp = float(spec.get("amplitude", 0.0))
-    k = float(spec.get("wavenumber", 1.0))
-    phase = float(spec.get("phase", 0.0))
-    offset = float(spec.get("offset", 0.0))
-    return offset + amp * np.sin(k * theta + phase)
+def _numbers(spec, defaults):
+    """The values of ``spec`` at the keys of ``defaults``, each read by
+    ``_finite`` (its default where the key is absent)."""
+    return [_finite(spec.get(key, default), key) for key, default in defaults.items()]
 
 
-def _family_gaussian(theta, spec):
-    amp = float(spec.get("amplitude", 0.0))
-    center = float(spec.get("center", 0.0))
-    width = float(spec.get("width", 1.0))
-    offset = float(spec.get("offset", 0.0))
+def _family_gaussian(theta, amplitude, center, width, offset):
     if width <= 0.0:
         raise ConfigError("gaussian width must be positive")
-    return offset + amp * np.exp(-((theta - center) ** 2) / (2.0 * width**2))
+    return offset + amplitude * np.exp(-((theta - center) ** 2) / (2.0 * width**2))
 
 
-def _family_linear(theta, spec):
-    slope = float(spec.get("slope", 1.0))
-    offset = float(spec.get("offset", 0.0))
-    return offset + slope * theta
-
-
+# name -> (parameters with their defaults, the curve of theta and them)
 FAMILIES = {
-    "constant": _family_constant,
-    "sine": _family_sine,
-    "gaussian": _family_gaussian,
-    "linear": _family_linear,
+    "constant": ({"value": 0.0}, lambda theta, value: np.full_like(theta, value)),
+    "sine": (
+        {"amplitude": 0.0, "wavenumber": 1.0, "phase": 0.0, "offset": 0.0},
+        lambda theta, amp, k, phase, offset: offset + amp * np.sin(k * theta + phase),
+    ),
+    "gaussian": ({"amplitude": 0.0, "center": 0.0, "width": 1.0, "offset": 0.0}, _family_gaussian),
+    "linear": ({"slope": 1.0, "offset": 0.0}, lambda theta, slope, offset: offset + slope * theta),
 }
 
 
@@ -120,19 +122,31 @@ class Scenario:
 
     @property
     def snapshot_stride(self) -> int:
-        return int(self.output.get("snapshot_stride", 16))
+        return int(_finite(self.output.get("snapshot_stride", 16), "snapshot_stride"))
+
+    @property
+    def compare_levels(self) -> int:
+        """Rungs of the ``compare`` ladder: the step, then each doubling."""
+        levels = int(_finite(self.raw.get("compare", {}).get("levels", 3), "levels"))
+        if levels < 1:
+            raise ConfigError(f"'levels' of compare must be at least 1, got {levels}")
+        return levels
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
     for key in ("metric", "domain", "grid", "initial_data"):
         if key not in cfg:
             raise ConfigError(f"scenario is missing required section {key!r}")
+    for key in ("metric", "domain", "grid", "initial_data", "output", "compare", "thresholds"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"scenario section {key!r} must be a JSON object")
     grid = dict(cfg["grid"])
     if "h" not in grid:
         raise ConfigError("grid section requires a step 'h'")
     if "t_max" not in grid:
         raise ConfigError("grid section requires 't_max'")
-    if float(grid["h"]) <= 0.0 or float(grid["t_max"]) <= 0.0:
+    grid["h"], grid["t_max"] = _numbers(grid, {"h": None, "t_max": None})
+    if grid["h"] <= 0.0 or grid["t_max"] <= 0.0:
         raise ConfigError("grid values must be positive")
     thresholds = DEFAULT_THRESHOLDS
     overrides = cfg.get("thresholds", {})
@@ -141,8 +155,8 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         bad = set(overrides) - known
         if bad:
             raise ConfigError(f"unknown threshold keys: {sorted(bad)}")
-        thresholds = replace(thresholds, **{k: float(v) for k, v in overrides.items()})
-    return Scenario(
+        thresholds = replace(thresholds, **{k: _finite(v, k) for k, v in overrides.items()})
+    scenario = Scenario(
         metric=dict(cfg["metric"]),
         domain=dict(cfg["domain"]),
         grid=grid,
@@ -152,6 +166,9 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         base_dir=base_dir,
         raw=cfg,
     )
+    # the output and compare values are read late; reject them at load
+    scenario.snapshot_stride, scenario.compare_levels
+    return scenario
 
 
 def load_scenario(path) -> Scenario:
@@ -171,11 +188,11 @@ def build_model(scenario: Scenario) -> MetricModel:
     spec = scenario.metric
     tag = spec.get("model")
     if tag == "minkowski":
-        return Minkowski(int(spec.get("spatial_dim", 3)))
+        return Minkowski(int(_finite(spec.get("spatial_dim", 3), "spatial_dim")))
     if tag == "ori_quadratic":
         if "a" not in spec:
             raise ConfigError("ori_quadratic requires parameter 'a'")
-        return OriQuadratic(float(spec["a"]))
+        return OriQuadratic(_finite(spec["a"], "a"))
     if tag == "ori_general":
         name = spec.get("profile")
         if name not in PROFILE_REGISTRY:
@@ -183,7 +200,7 @@ def build_model(scenario: Scenario) -> MetricModel:
                 f"unknown wave profile {name!r}; choose from {sorted(PROFILE_REGISTRY)}"
             )
         builder, params = PROFILE_REGISTRY[name]
-        args = [float(spec.get(p, 0.0)) for p in params]
+        args = _numbers(spec, dict.fromkeys(params, 0.0))
         model = OriGeneral(**builder(*args), name=f"ori_general({name})")
         # harmonicity is a precondition of the family: spot-check on a probe
         # grid at scenario start, reject on violation
@@ -196,33 +213,34 @@ def build_model(scenario: Scenario) -> MetricModel:
     raise ConfigError(f"unknown metric model {tag!r}")
 
 
-def build_domain(scenario: Scenario) -> Domain:
+def build_domain(scenario: Scenario) -> Optional[float]:
+    """The period of a closed string (a ring), or None for a line: the one
+    record of the choice, which every later layer reads."""
     spec = scenario.domain
     kind = spec.get("kind")
     if kind == "periodic":
-        return Domain.closed(float(spec.get("length", 2.0 * math.pi)))
+        return _finite(spec.get("length", 2.0 * math.pi), "length")
     if kind == "line":
         window = spec.get("window")
         if (
             not isinstance(window, (list, tuple))
             or len(window) != 2
-            or float(window[0]) >= float(window[1])
+            or _finite(window[0], "window") >= _finite(window[1], "window")
         ):
             raise ConfigError("line domain requires 'window': [lo, hi] with lo < hi")
-        return Domain.line()
+        return None
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def build_theta_grid(scenario: Scenario) -> np.ndarray:
     """The data nodes, laid out as a lattice row (``LightconeGrid.row``)."""
-    spec = scenario.domain
-    periodic = spec.get("kind") == "periodic"
-    if periodic:
-        lo, span = float(spec.get("start", 0.0)), float(spec.get("length", 2.0 * math.pi))
-    else:
-        lo, hi = map(float, spec["window"])
+    period = build_domain(scenario)
+    if period is None:
+        lo, hi = map(float, scenario.domain["window"])
         span = hi - lo
-    n, step = LightconeGrid.row(span, scenario.step, periodic)
+    else:
+        lo, span = _finite(scenario.domain.get("start", 0.0), "start"), period
+    n, step = LightconeGrid.row(span, scenario.step, period is not None)
     return lo + step * np.arange(n)
 
 
@@ -236,7 +254,8 @@ def _arrays_from_families(theta: np.ndarray, spec_list, dim: int, label: str) ->
             raise ConfigError(
                 f"{label}[{k}]: unknown family {fam!r}; choose from {sorted(FAMILIES)}"
             )
-        cols.append(FAMILIES[fam](theta, spec))
+        defaults, curve = FAMILIES[fam]
+        cols.append(curve(theta, *_numbers(spec, defaults)))
     return np.stack(cols, axis=1)
 
 
@@ -258,7 +277,9 @@ def _arrays_from_csv(path: Path, theta: np.ndarray, dim: int):
         raise ConfigError(
             f"samples file must have columns {expected}, got {header}"
         )
-    body = np.array([[float(v) for v in row] for row in rows[1:]])
+    if any(len(row) != len(expected) for row in rows[1:]):
+        raise ConfigError(f"samples file {path} has rows of the wrong length")
+    body = np.array([[_finite(v, "samples") for v in row] for row in rows[1:]])
     if body.shape[0] != len(theta):
         raise ConfigError(
             f"samples file has {body.shape[0]} rows, grid has {len(theta)} nodes"

@@ -34,9 +34,10 @@ __all__ = [
 class CoordinateMap:
     """Monotone tables of the straightening coordinate and speed profiles.
 
-    For closed strings the map winds: theta0(theta + L) = theta0(theta) + P
-    where P is the image period; on a line it continues linearly with its
-    edge slopes, and the inverse with their reciprocals, so the two
+    On a ring of ``theta_period`` L the map winds: theta0(theta + L) =
+    theta0(theta) + P, where P is the image period ``vtheta_period``.  On a
+    line both periods are None; the map continues linearly with its edge
+    slopes, and the inverse with their reciprocals, so the two
     continuations invert each other.  The speed profiles ``lam_minus_bar``
     and ``lam_plus_bar`` are functions of the straightened coordinate that
     wrap on a ring and hold their edge values on a line.
@@ -44,7 +45,6 @@ class CoordinateMap:
 
     theta_nodes: np.ndarray
     vtheta_nodes: np.ndarray
-    periodic: bool
     theta_period: Optional[float]
     vtheta_period: Optional[float]
     _fwd: PchipInterpolator
@@ -77,26 +77,23 @@ def build_theta0(data: StringInitialData) -> CoordinateMap:
         raise CausalityError(
             f"speed ordering fails at node {k}; straightening map undefined"
         )
-    periodic = data.domain.periodic
     theta = data.theta
-    if periodic:
-        theta_ext = np.append(theta, theta[0] + data.domain.length)
-        integrand = 2.0 / np.append(gap, gap[0])
+    if data.period is None:
+        theta_ext, integrand = theta, 2.0 / gap
     else:
-        theta_ext = theta
-        integrand = 2.0 / gap
+        theta_ext = np.append(theta, theta[0] + data.period)
+        integrand = 2.0 / np.append(gap, gap[0])
     cum = cumulative_simpson(integrand, x=theta_ext, initial=0.0)
     anchor_idx = int(np.argmin(np.abs(theta)))
     cum = cum - cum[anchor_idx]
     if np.any(np.diff(cum) <= 0.0):
         raise CausalityError("straightening coordinate is not strictly increasing")
-    vtheta_nodes = cum[: len(theta)] if periodic else cum
-    period = float(cum[-1] - cum[0]) if periodic else None
+    vtheta_nodes = cum[: len(theta)]  # a ring's table closes one node past them
+    period = float(cum[-1] - cum[0]) if data.period is not None else None
     return CoordinateMap(
         theta_nodes=theta,
         vtheta_nodes=vtheta_nodes,
-        periodic=periodic,
-        theta_period=data.domain.length,
+        theta_period=data.period,
         vtheta_period=period,
         _fwd=PchipInterpolator(theta_ext, cum),
         _inv=PchipInterpolator(cum, theta_ext),

@@ -30,7 +30,6 @@ from .errors import (
 from .metrics import MetricModel
 
 __all__ = [
-    "Domain",
     "Profile",
     "StringInitialData",
     "OrderingReport",
@@ -62,22 +61,6 @@ def _speed_roots(g00, g01, g11):
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Domain:
-    periodic: bool
-    length: Optional[float] = None
-
-    @staticmethod
-    def closed(length: float) -> "Domain":
-        if length <= 0.0:
-            raise ConfigError("periodic length must be positive")
-        return Domain(periodic=True, length=float(length))
-
-    @staticmethod
-    def line() -> "Domain":
-        return Domain(periodic=False, length=None)
 
 
 def fourth_order_derivative(values: np.ndarray, spacing: float, periodic: bool) -> np.ndarray:
@@ -171,8 +154,9 @@ class Profile:
 class StringInitialData:
     """Sampled initial position and velocity with the derived functionals.
 
-    For periodic domains the grid covers one period without the duplicate
-    endpoint; interpolants wrap.  Position data must itself be periodic
+    ``period`` is the length of a closed string (a ring), or None on a line.
+    On a ring the grid covers one period without the duplicate endpoint;
+    interpolants wrap.  Position data must itself be periodic
     (winding configurations are rejected at construction).  The position
     and one-form interpolants are built on first use.
     """
@@ -180,7 +164,7 @@ class StringInitialData:
     theta: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    domain: Domain
+    period: Optional[float]
     phi_theta: np.ndarray
     lam_minus: np.ndarray
     lam_plus: np.ndarray
@@ -194,15 +178,15 @@ class StringInitialData:
 
     @cached_property
     def phi_at(self) -> Profile:
-        return Profile(self.theta, self.phi, self.domain.length)
+        return Profile(self.theta, self.phi, self.period)
 
     @cached_property
     def p0_at(self) -> Profile:
-        return Profile(self.theta, self.p0, self.domain.length)
+        return Profile(self.theta, self.p0, self.period)
 
     @cached_property
     def q0_at(self) -> Profile:
-        return Profile(self.theta, self.q0, self.domain.length)
+        return Profile(self.theta, self.q0, self.period)
 
 
 def _check_uniform(theta: np.ndarray) -> float:
@@ -220,15 +204,18 @@ def build_initial_data(
     theta,
     phi,
     psi,
-    domain: Domain,
+    period: Optional[float],
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> StringInitialData:
     """Derive speeds, energy density and null data from sampled curves.
 
-    phi rows are positions, psi rows velocities, one row per grid node.
-    Raises CausalityError naming the first node whose energy density fails
-    to be negative, DegeneracyError when |g11| collapses.
+    phi rows are positions, psi rows velocities, one row per grid node;
+    ``period`` is the ring's length, or None on a line.  Raises
+    CausalityError naming the first node whose energy density fails to be
+    negative, DegeneracyError when |g11| collapses.
     """
+    if period is not None and not period > 0.0:
+        raise ConfigError("periodic length must be positive")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -239,14 +226,14 @@ def build_initial_data(
             f"data has {phi.shape[1]} components, model expects {model.dim}"
         )
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
-        raise ValueError("initial data contains non-finite entries")
+        raise ConfigError("initial data contains non-finite entries")
     spacing = _check_uniform(theta)
-    if domain.periodic:
-        if abs(theta[-1] + spacing - theta[0] - domain.length) > 1e-8 * domain.length:
+    if period is not None:
+        if abs(theta[-1] + spacing - theta[0] - period) > 1e-8 * period:
             raise ConfigError(
                 "periodic grid must cover one period without the duplicate endpoint"
             )
-        probe = _periodic_wrap_mismatch(theta, phi, spacing)
+        probe = _periodic_wrap_mismatch(phi, spacing)
         tol = 50.0 * spacing**2 * (1.0 + float(np.max(np.abs(phi))))
         if probe > max(1e-8, tol):
             raise ConfigError(
@@ -254,7 +241,7 @@ def build_initial_data(
                 f"(seam mismatch {probe:.3e}); winding strings are unsupported"
             )
 
-    phi_theta = fourth_order_derivative(phi, spacing, domain.periodic)
+    phi_theta = fourth_order_derivative(phi, spacing, period is not None)
     g = model.metric(phi)
     g00 = np.einsum("nab,na,nb->n", g, psi, psi)
     g01 = np.einsum("nab,na,nb->n", g, psi, phi_theta)
@@ -282,7 +269,7 @@ def build_initial_data(
         theta=theta,
         phi=phi,
         psi=psi,
-        domain=domain,
+        period=period,
         phi_theta=phi_theta,
         lam_minus=lam_minus,
         lam_plus=lam_plus,
@@ -292,11 +279,10 @@ def build_initial_data(
     )
 
 
-def _periodic_wrap_mismatch(theta, phi, h) -> float:
+def _periodic_wrap_mismatch(phi, h) -> float:
     """Seam jump of phi across the wrap, minus the jump a smooth periodic
     curve would have.  Winding components leave a residual of order the
     winding displacement."""
-    del theta
     if len(phi) < 5:
         return 0.0
     # one-sided derivative at the last node, uncontaminated by the seam
@@ -325,7 +311,7 @@ class OrderingReport:
         return self.pointwise_ok and self.global_ok
 
 
-def ordering_sweep(lam_minus, lam_plus, theta, periodic: bool):
+def ordering_sweep(lam_minus, lam_plus, periodic: bool):
     """Single left-to-right sweep of the global ordering condition.
 
     For every node k the running max of lam_minus over earlier nodes must be
@@ -357,9 +343,8 @@ def check_physicality(data: StringInitialData) -> OrderingReport:
     if not pointwise_ok:
         k = int(np.argmin(gap))
         pv = (float(data.theta[k]), float(data.lam_minus[k]), float(data.lam_plus[k]))
-    ok, pair = ordering_sweep(
-        data.lam_minus, data.lam_plus, data.theta, data.domain.periodic
-    )
+    periodic = data.period is not None
+    ok, pair = ordering_sweep(data.lam_minus, data.lam_plus, periodic)
     gv = None
     if not ok:
         i1, i2 = pair
@@ -369,7 +354,7 @@ def check_physicality(data: StringInitialData) -> OrderingReport:
             float(data.lam_minus[i1]),
             float(data.lam_plus[i2]),
         )
-    note = "closed-string sweep over two periods" if data.domain.periodic else ""
+    note = "closed-string sweep over two periods" if periodic else ""
     return OrderingReport(
         pointwise_ok=pointwise_ok,
         global_ok=ok,

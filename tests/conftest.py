@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, settings
 
 from oracles import StateVector
 from stringsheet import (
-    Domain,
     Minkowski,
     OriGeneral,
     OriQuadratic,
@@ -135,7 +134,7 @@ def circle_ori_data(nodes=256, a=0.5, radius=1.0, z_amp=0.05, z_vel=0.05):
         axis=1,
     )
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), np.full(n, z_vel)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.closed(2.0 * np.pi))
+    data = build_initial_data(model, th, phi, psi, 2.0 * np.pi)
     return model, data
 
 
@@ -150,7 +149,7 @@ def offset_circle_ori_data(nodes=256, a=1.0, radius=0.3, y_offset=2.5, z_vel=-0.
         axis=1,
     )
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), np.full(n, z_vel)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.closed(2.0 * np.pi))
+    data = build_initial_data(model, th, phi, psi, 2.0 * np.pi)
     return model, data
 
 
@@ -162,7 +161,7 @@ def blowup_line_data(nodes=801, a=0.01, z_vel=0.5, window=(-10.0, 10.0)):
     n = len(th)
     phi = np.stack([np.zeros(n), th, np.zeros(n), np.zeros(n)], axis=1)
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), np.full(n, z_vel)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.line())
+    data = build_initial_data(model, th, phi, psi, None)
     return model, data
 
 
@@ -182,7 +181,7 @@ def minkowski_circle_data(nodes=256, wave_amp=0.1, unit_speeds=False):
         np.sqrt(1.0 + wave_amp**2 * np.cos(th) ** 2) if unit_speeds else np.ones(n)
     )
     psi = np.stack([psi0, np.zeros(n), np.zeros(n), np.zeros(n)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.closed(2.0 * np.pi))
+    data = build_initial_data(model, th, phi, psi, 2.0 * np.pi)
     return model, data
 
 

@@ -247,8 +247,8 @@ def ordering_sweep_loop(lam_minus, lam_plus, periodic):
 def smallness_flag(data, epsilon: float) -> bool:
     """True when every component's arc-length and velocity integrals are at
     most epsilon (trapezoid quadrature)."""
-    if data.domain.periodic:
-        x = np.append(data.theta, data.theta[0] + data.domain.length)
+    if data.period is not None:
+        x = np.append(data.theta, data.theta[0] + data.period)
         dphi = np.concatenate([np.abs(data.phi_theta), np.abs(data.phi_theta[:1])], axis=0)
         vel = np.concatenate([np.abs(data.psi), np.abs(data.psi[:1])], axis=0)
     else:
@@ -380,7 +380,6 @@ def map_from_profiles(
     return CoordinateMap(
         theta_nodes=theta_ext[:nodes],
         vtheta_nodes=vth_ext[:nodes],
-        periodic=periodic,
         theta_period=float(theta_ext[-1] - theta_ext[0]) if periodic else None,
         vtheta_period=period,
         _fwd=PchipInterpolator(theta_ext, vth_ext),

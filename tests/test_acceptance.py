@@ -176,7 +176,7 @@ def test_criterion_5_ordering_criterion_sweep():
             lp = lm + rng.uniform(0.1, 1.2) + rng.uniform(0.0, 0.6) * (
                 1.0 + np.sin(3 * grid_now + rng.uniform(0, 6))
             )
-        ok_sweep, pair_sweep = ordering_sweep(lm, lp, grid_now, periodic)
+        ok_sweep, pair_sweep = ordering_sweep(lm, lp, periodic)
         # brute-force ordered-pair scan
         lm2 = np.concatenate([lm, lm]) if periodic else lm
         lp2 = np.concatenate([lp, lp]) if periodic else lp

@@ -1,6 +1,9 @@
+import io
 import json
+import math
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -59,6 +62,94 @@ def test_unknown_family_exits_1(tmp_path):
     cfg["initial_data"]["phi"][1]["family"] = "sawtooth"
     path = write_scenario(tmp_path, cfg)
     assert main(["check", str(path)]) == 1
+
+
+def shipped_dict(name):
+    return json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+
+
+def set_at(cfg, path, value):
+    """``cfg`` with the entry at ``path`` (keys and list indices) set to
+    ``value``, sections created on the way."""
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def assert_one_error_line(code, captured, name):
+    """Exit 1 with one ``error:`` line on stderr naming ``name``, nothing on
+    stdout."""
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and repr(name) in lines[0], lines
+
+
+MALFORMED_SMOOTH = {
+    "amplitude": (("initial_data", "phi", 1, "amplitude"), "big"),
+    "amplitude-nan": (("initial_data", "phi", 3, "amplitude"), math.nan),
+    "h": (("grid", "h"), "x"),
+    "a": (("metric", "a"), "x"),
+    "snapshot_stride": (("output", "snapshot_stride"), "x"),
+    "levels": (("compare", "levels"), "three"),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("case", list(MALFORMED_SMOOTH))
+def test_malformed_values_exit_1_with_one_error_line(case, command, tmp_path, capsys):
+    path, value = MALFORMED_SMOOTH[case]
+    scenario_path = write_scenario(tmp_path, set_at(shipped_dict("ori_smooth"), path, value))
+    code = main([command, str(scenario_path), "--out", str(tmp_path / "out")])
+    assert_one_error_line(code, capsys.readouterr(), path[-1])
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_spatial_dimension_exits_1_with_one_error_line(tmp_path, capsys):
+    cfg = set_at(shipped_dict("minkowski_wave"), ("metric", "spatial_dim"), -1)
+    code = main(["check", str(write_scenario(tmp_path, cfg))])
+    assert_one_error_line(code, capsys.readouterr(), "spatial_dim")
+
+
+def _not_a_finite_number(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+# every numeric value of the shipped ring and line scenarios, as (scenario,
+# path); the name the error must carry is the last key ("window" for its ends)
+NUMERIC_VALUES = (
+    [("ori_smooth", ("metric", "a")), ("minkowski_wave", ("metric", "spatial_dim"))]
+    + [("ori_smooth", ("domain", key)) for key in ("length", "start")]
+    + [("ori_blowup", ("domain", "window", k)) for k in (0, 1)]
+    + [("ori_smooth", ("grid", key)) for key in ("h", "t_max")]
+    + [("ori_smooth", ("initial_data", "phi", 1, key)) for key in ("amplitude", "wavenumber", "phase", "offset")]
+    + [("ori_smooth", ("initial_data", "psi", 3, "value")), ("ori_blowup", ("initial_data", "phi", 1, "slope"))]
+    + [("ori_smooth", ("output", "snapshot_stride")), ("ori_smooth", ("compare", "levels"))]
+    + [("ori_smooth", ("thresholds", key)) for key in ("eps_log", "monitor_ceiling")]
+)
+MALFORMED = st.one_of(
+    st.text(max_size=6).filter(_not_a_finite_number),
+    st.sampled_from([math.nan, math.inf, -math.inf, None, [], [1.0], {}, {"value": 1.0}]),
+)
+
+
+@given(st.sampled_from(NUMERIC_VALUES), MALFORMED, st.sampled_from(list(cli.COMMANDS)))
+def test_any_malformed_numeric_value_exits_1_with_one_error_line(where, value, command):
+    name, path = where
+    cfg = set_at(shipped_dict(name), path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = write_scenario(Path(tmp), cfg)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            code = main([command, str(scenario_path), "--out", str(Path(tmp) / "out")])
+        captured = SimpleNamespace(out=out.getvalue(), err=err.getvalue())
+    named = "window" if path[-2] == "window" else path[-1]
+    assert_one_error_line(code, captured, named)
 
 
 def test_unphysical_data_exits_2(tmp_path):
@@ -305,6 +396,44 @@ def test_compare_orders(tmp_path, capsys):
     assert table[-1, 4] < 10 * max(table[-1, 1], table[-1, 2], table[-1, 3])
 
 
+def test_compare_rejects_a_ladder_without_rungs(tmp_path, capsys):
+    cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5)
+    cfg["compare"] = {"levels": 0}
+    path = write_scenario(tmp_path, cfg)
+    code = main(["compare", str(path), "--out", str(tmp_path / "cmp")])
+    assert_one_error_line(code, capsys.readouterr(), "levels")
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_with_one_rung_reports_no_order(tmp_path, capsys):
+    cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5)
+    cfg["compare"] = {"levels": 1}
+    path = write_scenario(tmp_path, cfg)
+    assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3  # the header, one rung's errors and the order line
+    errors = [float(x) for x in lines[1].split()[1:]]
+    assert len(errors) == 4 and all(e > 0.0 for e in errors)
+    assert lines[2] == "observed orders: none, one rung has no refinement to compare with"
+    assert len((tmp_path / "cmp" / "compare.csv").read_text().splitlines()) == 2
+
+
+def test_compare_calls_exact_only_the_pairs_whose_finer_error_is_0(tmp_path, capsys):
+    # with a = 0 the transverse components decouple: their staged and
+    # general marches do the same arithmetic and agree bit for bit, while
+    # u0 and u3 keep errors that fall with the step
+    cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 128), t_max=0.5)
+    cfg["metric"]["a"] = 0.0
+    cfg["compare"] = {"levels": 3}
+    path = write_scenario(tmp_path, cfg)
+    assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    orders = dict(line.strip().split(": ") for line in lines[-4:])
+    assert orders["u1"] == orders["u2"] == "exact, exact"
+    for c in ("u0", "u3"):
+        assert all(float(o) > 1.0 for o in orders[c].split(", ")), orders
+
+
 def test_simulate_flat_standing_wave(tmp_path):
     out_dir = tmp_path / "mink"
     code = main(
@@ -536,6 +665,64 @@ def test_shipped_scenarios_speeds_outcome(name, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [f"wrote speed tables to {tmp_path}"]
 
 
+# the outcome of compare on each shipped scenario, at its own step and t_max:
+# exit code, the stream of the verdict and the verdict, the last line there
+SHIPPED_COMPARE = {
+    "minkowski_wave": (1, "out", "compare requires the quadratic plane-fronted model"),
+    "ori_blowup": (
+        4,
+        "out",
+        "blow-up detected at t=3.7, vtheta=-6.77198, component -1: "
+        "null residual breach (value 0.00110827)",
+    ),
+    "ori_global": (
+        4,
+        "out",
+        "blow-up detected at t=1.73124, vtheta=2.57673, component -1: "
+        "null residual breach (value 0.00101686)",
+    ),
+    "ori_psi_negative": (
+        5,
+        "err",
+        "consistency error: one-form/derivative consistency breached at t=1.09651 "
+        "(residual 1.082e-03) and the run stayed bounded",
+    ),
+    "ori_smooth": (0, "out", "  u3: 1.98, 1.99"),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_COMPARE))
+def test_shipped_scenarios_compare_outcome(name, tmp_path, capsys):
+    code = main(["compare", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    expect_code, stream, verdict = SHIPPED_COMPARE[name]
+    assert code == expect_code
+    assert getattr(captured, stream).splitlines()[-1] == verdict
+    assert getattr(captured, "err" if stream == "out" else "out") == ""
+
+
+def test_shipped_ori_global_simulate_exits_5(tmp_path, capsys):
+    code = main(["simulate", str(SCENARIO_DIR / "ori_global.json"), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "consistency error: one-form/derivative consistency breached at t=3.16776 "
+        "(residual 1.022e-03) and the run stayed bounded"
+    ]
+
+
+def test_shipped_ori_global_speeds_exits_0(tmp_path, capsys):
+    out_dir = tmp_path / "speeds"
+    try:
+        code = main(["speeds", str(SCENARIO_DIR / "ori_global.json"), "--out", str(out_dir)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote speed tables to {out_dir}"]
+    finally:  # the field file is about 130 MB
+        for path in out_dir.glob("*.csv"):
+            path.unlink()
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 # ---------------------------------------------------------------------------
@@ -565,7 +752,7 @@ EDGE_VALUES = [
 def test_writer_matches_oracle_on_edge_values(tmp_path):
     table = np.array(EDGE_VALUES).reshape(-1, 1) * np.ones(3)
     path = tmp_path / "edge.csv"
-    cli._write_csv(path, ["a", "b", "c"], table)
+    cli._write_csv(path, ["a", "b", "c"], [list(table.T)])
     text = path.read_text()
     assert text == oracle_csv(["a", "b", "c"], table)
     assert "\n1,1,1\n" in text and "\n-0,-0,-0\n" in text
@@ -580,12 +767,12 @@ def test_writer_matches_oracle_on_edge_values(tmp_path):
 def test_writer_matches_oracle_on_random_blocks(table, block_rows, pieces):
     header = [f"c{k}" for k in range(table.shape[1])]
     expected = oracle_csv(header, table)
-    # the same rows as one array and as an iterable of uneven blocks
+    # the same rows as one block and as an iterable of uneven blocks
     cuts = np.linspace(0, len(table), pieces + 1).astype(int)
-    blocks = (table[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+    blocks = (list(table[a:b].T) for a, b in zip(cuts[:-1], cuts[1:]))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
         path = Path(tmp) / "t.csv"
-        for source in (table, blocks):
+        for source in ([list(table.T)], blocks):
             cli._write_csv(path, header, source)
             assert path.read_text() == expected
 

@@ -62,7 +62,7 @@ def test_line_grid_shrinks_and_guards_window():
 def reference_grid(cmap, step, t_max):
     """``build_grid`` written out with its own ring and line branches:
     (vtheta, step, levels, t_max), or None where the window is too short."""
-    if cmap.periodic:
+    if cmap.vtheta_period is not None:
         period = cmap.vtheta_period
         n = max(8, int(round(period / step)))
         actual = period / n
@@ -83,7 +83,7 @@ def reference_scan_grid(cf, t_max):
     t_max of k steps has k levels whichever way the division rounds."""
     n = len(cf.vtheta_nodes)
     lo = cf.vtheta_nodes[0]
-    if cf.periodic:
+    if cf.period is not None:
         step = cf.period / n
     else:
         step = (cf.vtheta_nodes[-1] - lo) / (n - 1)
@@ -183,7 +183,7 @@ def test_initial_line_unit_speed_relations():
     grid = build_grid(cmap, 2.0 * np.pi / 128, 1.0)
     u0, p0, q0 = initial_lightcone_data(data, cmap, grid)
     th = grid.vtheta  # identity map
-    psi = Profile(data.theta, data.psi, data.domain.length)(th)
+    psi = Profile(data.theta, data.psi, data.period)(th)
     dphi = data.phi_at(th, nu=1)
     # off-node evaluation mixes the stencil and spline derivatives
     assert np.max(np.abs(p0 - (psi - dphi))) < 2e-6
@@ -209,11 +209,11 @@ def test_static_point_string():
     # a circle with zero transverse velocity: p0, q0 have only the time
     # component; a fully constant position needs a degenerate curve, so the
     # static statement is about the spatial one-forms
-    from stringsheet import Domain, build_initial_data
+    from stringsheet import build_initial_data
 
     phi = np.stack([np.zeros(n), np.cos(th), np.sin(th), np.zeros(n)], axis=1)
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.closed(2 * np.pi))
+    data = build_initial_data(model, th, phi, psi, 2 * np.pi)
     cmap = build_theta0(data)
     grid = build_grid(cmap, 2 * np.pi / 256, 0.5)
     sol = recorded_solve(model, data, cmap, grid)

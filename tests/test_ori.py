@@ -14,7 +14,6 @@ from conftest import (
 )
 from oracles import coupling, route_u3, u3_eta, u3_xi
 from stringsheet import (
-    Domain,
     DomainTruncationError,
     LightconeGrid,
     OriClosedForm,
@@ -155,7 +154,7 @@ def lattice(lo, step, nodes, levels, period=None):
     ``levels`` levels, on a ring when ``period`` is given."""
     return LightconeGrid(
         step=step, t_max=levels * step, vtheta=lo + step * np.arange(nodes),
-        periodic=period is not None, period=period, n_levels=levels,
+        period=period, n_levels=levels,
     )
 
 
@@ -166,7 +165,7 @@ def assert_tables_match_pointwise(cf, lo, step, nodes, levels):
     level at each level and half level."""
     tables = LatticeTables(cf, lattice(lo, step, nodes, levels, cf.period))
     for level in np.arange(0.0, levels + 0.5, 0.5):
-        if cf.periodic:
+        if cf.period is not None:
             whole = level == int(level)
             first, count = (-1.0, nodes + 2) if whole else (-0.5, nodes + 1)
         else:
@@ -246,9 +245,9 @@ def brute_force_scan(cf, t_max, bisect_tol=1e-6):
     from both window ends, and only until none is left."""
     n = len(cf.vtheta_nodes)
     lo, hi = cf.vtheta_nodes[0], cf.vtheta_nodes[-1]
-    step = cf.period / n if cf.periodic else (hi - lo) / (n - 1)
+    step = (hi - lo) / (n - 1) if cf.period is None else cf.period / n
     nodes = lo + step * np.arange(n)
-    if not cf.periodic:
+    if cf.period is None:
         t_max = min(t_max, (n - 1) // 2 * step)
     levels = int(np.floor(t_max / step))
     t_nodes = step * np.arange(levels + 1)
@@ -256,7 +255,7 @@ def brute_force_scan(cf, t_max, bisect_tol=1e-6):
         t_nodes = np.append(t_nodes, t_max)
 
     def inside(t):
-        if cf.periodic:
+        if cf.period is not None:
             return nodes
         k = int(np.ceil(t / step - 1e-9))  # node k is the first at least t from lo
         return nodes[k : n - k]
@@ -442,13 +441,13 @@ def test_straightened_velocity_differs_from_naive_composition():
     cmap = build_theta0(data)
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=0.5)
     theta_star = cmap.theta0_inverse(cmap.vtheta_nodes)
-    naive = Profile(data.theta, data.psi, data.domain.length)(theta_star)[:, 3]
+    naive = Profile(data.theta, data.psi, data.period)(theta_star)[:, 3]
     actual = cf.psi3_bar(cmap.vtheta_nodes)
     drift = 0.5 * (data.lam_plus + data.lam_minus)
     assert np.max(np.abs(drift)) > 1e-3  # scenario really has mean drift
     assert np.max(np.abs(actual - naive)) > 1e-4
     # and the difference is exactly the drift times the position derivative
-    lam_minus = Profile(data.theta, data.lam_minus, data.domain.length)(theta_star)
+    lam_minus = Profile(data.theta, data.lam_minus, data.period)(theta_star)
     recon = naive + lam_minus * data.phi_at(theta_star, nu=1)[:, 3]
     assert np.allclose(cf.p30_bar(cmap.vtheta_nodes), recon, atol=1e-7)
 
@@ -517,7 +516,7 @@ def rippled_line_data(nodes=401, a=0.5):
     n = len(th)
     phi = np.stack([np.zeros(n), th, 0.3 * np.sin(0.5 * th), 0.1 * np.cos(0.7 * th)], axis=1)
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n), 0.2 * np.exp(-0.1 * th**2)], axis=1)
-    return model, build_initial_data(model, th, phi, psi, Domain.line())
+    return model, build_initial_data(model, th, phi, psi, None)
 
 
 @pytest.mark.parametrize(
@@ -549,7 +548,7 @@ def test_staged_matches_general_solver_on_a_line(make, components):
 def test_transverse_swap_symmetry():
     # swapping the two transverse axes while flipping the sign of the
     # coupling constant swaps the roles of the two components
-    from stringsheet import Domain, OriQuadratic, build_initial_data
+    from stringsheet import OriQuadratic, build_initial_data
 
     n = 256
     th = np.linspace(0, 2 * np.pi, n, endpoint=False)
@@ -565,7 +564,7 @@ def test_transverse_swap_symmetry():
         ("swap", -0.3, swapped_phi, swapped_psi),
     ):
         model = OriQuadratic(a)
-        data = build_initial_data(model, th, phi, psi, Domain.closed(2 * np.pi))
+        data = build_initial_data(model, th, phi, psi, 2 * np.pi)
         cmap = build_theta0(data)
         grid = build_grid(cmap, cmap.vtheta_period / 128, 1.0)
         cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=a)
@@ -607,7 +606,7 @@ def test_staged_solve_rejects_lattice_past_the_data_window():
     lo, hi = cmap.vtheta_nodes[0] - 10 * step, cmap.vtheta_nodes[-1] + 10 * step
     vtheta = lo + step * np.arange(int(np.floor((hi - lo) / step)) + 1)
     grid = LightconeGrid(
-        step=step, t_max=1.0, vtheta=vtheta, periodic=False, period=None, n_levels=20
+        step=step, t_max=1.0, vtheta=vtheta, period=None, n_levels=20
     )
     cf = OriClosedForm.from_initial_data(data, cmap, coupling_constant=model.a)
     with pytest.raises(WindowError):

@@ -14,7 +14,6 @@ from oracles import (
 )
 from stringsheet import (
     CausalityError,
-    Domain,
     Minkowski,
     build_initial_data,
     build_inverse_map,
@@ -37,7 +36,7 @@ def line_data_with_speeds(gap_fn, n=201, window=(-5.0, 5.0)):
     c = gap_fn(th) / 2.0
     phi = np.stack([np.zeros(n), th, np.zeros(n)], axis=1)
     psi = np.stack([c, np.zeros(n), np.zeros(n)], axis=1)
-    return build_initial_data(model, th, phi, psi, Domain.line())
+    return build_initial_data(model, th, phi, psi, None)
 
 
 def test_theta0_identity_for_unit_gap():
@@ -110,7 +109,7 @@ def test_theta0_rejects_violated_ordering():
     th = np.linspace(0.0, 1.0, 11)
     phi = np.stack([np.zeros(11), th, np.zeros(11)], axis=1)
     psi = np.stack([np.ones(11), np.zeros(11), np.zeros(11)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.line())
+    data = build_initial_data(model, th, phi, psi, None)
     data.lam_plus[:] = data.lam_minus  # corrupt: gap collapses
     with pytest.raises(CausalityError):
         build_theta0(data)

@@ -30,7 +30,6 @@ from stringsheet import (
     CausalityError,
     ConfigError,
     DegeneracyError,
-    Domain,
     Minkowski,
     OriQuadratic,
     build_initial_data,
@@ -331,7 +330,7 @@ def test_causality_error_names_node():
     phi = np.stack([np.zeros(11), th, np.zeros(11)], axis=1)
     psi = np.zeros((11, 3))  # zero velocity: lightlike degenerate plane
     with pytest.raises(CausalityError, match="node"):
-        build_initial_data(model, th, phi, psi, Domain.line())
+        build_initial_data(model, th, phi, psi, None)
 
 
 def test_rejects_winding_position_data():
@@ -341,7 +340,17 @@ def test_rejects_winding_position_data():
     phi = np.stack([np.zeros(n), th, np.sin(th)], axis=1)  # winds in x
     psi = np.stack([np.ones(n), np.zeros(n), np.zeros(n)], axis=1)
     with pytest.raises(ConfigError, match="winding"):
-        build_initial_data(model, th, phi, psi, Domain.closed(2 * np.pi))
+        build_initial_data(model, th, phi, psi, 2 * np.pi)
+
+
+@pytest.mark.parametrize("period", [0.0, -2 * np.pi, np.nan])
+def test_rejects_a_period_that_is_not_positive(period):
+    # checked before the data, so zero velocity (not timelike) never decides
+    model = Minkowski(2)
+    th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    phi = np.stack([np.zeros(64), np.cos(th), np.sin(th)], axis=1)
+    with pytest.raises(ConfigError, match="periodic length must be positive"):
+        build_initial_data(model, th, phi, np.zeros((64, 3)), period)
 
 
 def test_rejects_nonuniform_grid():
@@ -350,7 +359,7 @@ def test_rejects_nonuniform_grid():
     phi = np.zeros((5, 3))
     psi = np.zeros((5, 3))
     with pytest.raises(ConfigError, match="uniform"):
-        build_initial_data(model, th, phi, psi, Domain.line())
+        build_initial_data(model, th, phi, psi, None)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +462,7 @@ def brute_force_sweep(lam_minus, lam_plus, periodic):
 def test_sweep_constant_separated():
     lm = np.full(50, -1.0)
     lp = np.full(50, 1.0)
-    ok, _ = ordering_sweep(lm, lp, np.arange(50.0), periodic=False)
+    ok, _ = ordering_sweep(lm, lp, periodic=False)
     assert ok
 
 
@@ -463,7 +472,7 @@ def test_sweep_monotone_shifted_profiles_pass():
     th = np.linspace(-5, 5, 201)
     lm = np.tanh(th)
     lp = np.tanh(th) + 0.1
-    ok, _ = ordering_sweep(lm, lp, th, periodic=False)
+    ok, _ = ordering_sweep(lm, lp, periodic=False)
     ok_bf, _ = brute_force_sweep(lm, lp, periodic=False)
     assert ok and ok_bf
 
@@ -472,7 +481,7 @@ def test_sweep_decreasing_profile_fails():
     th = np.linspace(-5, 5, 201)
     lm = -np.tanh(th)
     lp = -np.tanh(th) + 0.1
-    ok, pair = ordering_sweep(lm, lp, th, periodic=False)
+    ok, pair = ordering_sweep(lm, lp, periodic=False)
     ok_bf, pair_bf = brute_force_sweep(lm, lp, periodic=False)
     assert not ok and not ok_bf
     assert pair == pair_bf
@@ -482,7 +491,7 @@ def test_sweep_opening_fan_passes():
     th = np.linspace(-5, 5, 201)
     lm = -1.0 - 0.3 * np.arctan(th)
     lp = 1.0 + 0.3 * np.arctan(th)
-    ok, _ = ordering_sweep(lm, lp, th, periodic=False)
+    ok, _ = ordering_sweep(lm, lp, periodic=False)
     ok_bf, _ = brute_force_sweep(lm, lp, periodic=False)
     assert ok and ok_bf
 
@@ -495,7 +504,7 @@ def test_sweep_matches_brute_force_random(rng):
         lm = base + 0.3 * np.sin(th + rng.uniform(0, 6)) + rng.uniform(-0.2, 0.6) * np.cos(2 * th)
         gap = 0.15 + rng.uniform(0.0, 1.0) + 0.5 * (1 + np.sin(3 * th + rng.uniform(0, 6)))
         lp = lm + gap
-        ok, pair = ordering_sweep(lm, lp, th, periodic)
+        ok, pair = ordering_sweep(lm, lp, periodic)
         ok_bf, pair_bf = brute_force_sweep(lm, lp, periodic)
         assert ok == ok_bf
         if not ok:
@@ -509,7 +518,7 @@ def test_sweep_matches_brute_force_random(rng):
 def test_sweep_matches_the_loop_on_ties(speeds, periodic):
     # four speed values only, so running maxima and violations tie often
     lm, lp = (np.array(column, dtype=float) for column in zip(*speeds))
-    got = ordering_sweep(lm, lp, np.arange(len(lm), dtype=float), periodic)
+    got = ordering_sweep(lm, lp, periodic)
     assert got == ordering_sweep_loop(lm, lp, periodic)
 
 
@@ -526,7 +535,7 @@ def test_periodic_condition_is_global_extremum_comparison():
     th = np.linspace(0, 2 * np.pi, 128, endpoint=False)
     lm = 0.4 * np.sin(th)
     lp = 0.5 + 0.4 * np.sin(th + 2.5)
-    ok, _ = ordering_sweep(lm, lp, th, periodic=True)
+    ok, _ = ordering_sweep(lm, lp, periodic=True)
     assert ok == (np.max(lm) < np.min(lp))
 
 
@@ -540,7 +549,7 @@ def test_smallness_static_point():
     th = np.linspace(0.0, 1.0, 21)
     phi = np.stack([np.zeros(21), th, np.zeros(21)], axis=1)
     psi = np.stack([np.ones(21), np.zeros(21), np.zeros(21)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.line())
+    data = build_initial_data(model, th, phi, psi, None)
     # velocity integral = 1 * length, arc integral = 1 * length
     assert smallness_flag(data, epsilon=1.5)
     assert not smallness_flag(data, epsilon=0.5)
@@ -552,7 +561,7 @@ def test_smallness_trapezoid_oracle():
     slope = 0.01
     phi = np.stack([np.zeros(101), th, slope * th], axis=1)
     psi = np.stack([np.ones(101), np.zeros(101), np.zeros(101)], axis=1)
-    data = build_initial_data(model, th, phi, psi, Domain.line())
+    data = build_initial_data(model, th, phi, psi, None)
     arc = np.trapezoid(np.abs(data.phi_theta), th, axis=0)
     vel = np.trapezoid(np.abs(psi), th, axis=0)
     eps = float(max(arc.max(), vel.max()))
