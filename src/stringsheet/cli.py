@@ -39,6 +39,7 @@ from .scenario import (
     build_initial_arrays,
     build_model,
     build_theta_grid,
+    check_size,
     load_scenario,
 )
 
@@ -51,7 +52,6 @@ EXIT_CONSISTENCY = 5
 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted by one ``%`` operation
-LEVEL_BATCH = 1 << 16  # lattice points per batch of whole levels
 
 
 def _format_once(col):
@@ -145,20 +145,11 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _level_batches(t_nodes, nodes):
-    """Consecutive slices of ``t_nodes``, each of whole levels of about
-    ``LEVEL_BATCH`` points at ``nodes`` points per level (one level at
-    least), so a lattice-wide field is never held whole."""
-    per_batch = max(1, LEVEL_BATCH // nodes)
-    for start in range(0, len(t_nodes), per_batch):
-        yield t_nodes[start : start + per_batch]
-
-
 def _log_argument_blocks(cf, t_nodes, vtheta):
     """(t, vartheta, log argument) columns level by level, evaluated
     pointwise in level batches; t and vartheta as text."""
     v_text = _format_once(vtheta)
-    for levels in _level_batches(t_nodes, len(vtheta)):
+    for levels in lightcone.level_batches(t_nodes, len(vtheta)):
         log_arg = cf.log_argument(np.repeat(levels, len(vtheta)), np.tile(vtheta, len(levels)))
         yield [np.repeat(_format_once(levels), len(vtheta)), np.tile(v_text, len(levels)), log_arg]
 
@@ -187,34 +178,31 @@ def _snapshot_writer(model, grid, cmap, out_dir: Path):
     return write
 
 
-def _ordered_batches(cmap, grid, breaks):
-    """(levels, transported speeds) in level batches, up to the first batch
-    whose speeds lose their order: that break is printed and appended to
-    ``breaks``."""
-    for levels in _level_batches(grid.t_nodes, len(grid.vtheta)):
-        fields = transport.solve_riemann_invariants(cmap, levels, grid.vtheta)
-        if not fields.ordering_ok:
-            t, v, _, _ = fields.violation
-            print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
-            breaks.append(fields.violation)
-            return
-        yield levels, fields
-
-
 def _speed_ordering_violation(cmap, grid):
-    """The first (t, vartheta, lam-, lam+) where the transported speeds lose
-    their order, printed, or None; checked in level batches."""
-    breaks = []
-    for _ in _ordered_batches(cmap, grid, breaks):
-        pass
-    return breaks[0] if breaks else None
+    """The first (t, vartheta, lam-, lam+), level by level and node by node,
+    where the transported speeds Lam+(xi) and Lam-(eta) lose their order,
+    tested on one sample of each per lattice index; printed, or None.  The
+    pair is evaluated at the lattice point, as solve_riemann_invariants."""
+    nodes, levels = len(grid.vtheta), grid.n_levels
+    x = grid.vtheta[0] + grid.step * np.arange(-levels, nodes + levels)
+    speeds = lightcone.CharacteristicTable(
+        grid, cmap.lam_plus_bar(x[levels:]), cmap.lam_minus_bar(x[: nodes + levels]), 0, -levels
+    )
+    for batch, crossed, _ in speeds.level_blocks(np.less_equal, False):
+        if crossed.any():
+            r, j = divmod(int(np.argmax(crossed)), nodes)
+            t, v = float(grid.t_nodes[batch[r]]), float(grid.vtheta[j])
+            print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
+            return t, v, float(cmap.lam_minus_bar([v - t])[0]), float(cmap.lam_plus_bar([v + t])[0])
+    return None
 
 
-def _speed_blocks(cmap, grid, breaks):
-    """(t, vartheta, theta, lam-, lam+) columns of ``_ordered_batches``, all
-    but theta as text."""
+def _speed_blocks(cmap, grid):
+    """(t, vartheta, theta, lam-, lam+) columns in level batches, all but
+    theta as text."""
     vtheta, v_text = grid.vtheta, _format_once(grid.vtheta)
-    for levels, fields in _ordered_batches(cmap, grid, breaks):
+    for levels in lightcone.level_batches(grid.t_nodes, len(vtheta)):
+        fields = transport.solve_riemann_invariants(cmap, levels, vtheta)
         theta = transport.build_inverse_map(cmap, levels, vtheta).theta.ravel()
         yield [np.repeat(_format_once(levels), len(vtheta)), np.tile(v_text, len(levels)), theta,
                _format_once(fields.lam_minus.ravel()), _format_once(fields.lam_plus.ravel())]
@@ -338,12 +326,10 @@ def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
     )
     cmap = transport.build_theta0(data)
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
-    field, breaks = out_dir / "speeds_field.csv", []
-    header = ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"]
-    _write_csv(field, header, _speed_blocks(cmap, grid, breaks))
-    if breaks:  # the rows before the break are not a speed field
-        field.unlink()
+    if _speed_ordering_violation(cmap, grid) is not None:
         return EXIT_PHYSICALITY
+    header = ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"]
+    _write_csv(out_dir / "speeds_field.csv", header, _speed_blocks(cmap, grid))
     print(f"wrote speed tables to {out_dir}")
     return EXIT_OK
 
@@ -389,6 +375,7 @@ def main(argv=None) -> int:
             if args.tmax <= 0.0:
                 raise ConfigError("--tmax must be positive")
             scenario.grid["t_max"] = float(args.tmax)
+        check_size(scenario)
         if args.out is not None:
             out_dir = Path(args.out)
         elif args.command == "check":

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import ConfigError, NumericalConsistencyError, WindowError
@@ -29,6 +30,8 @@ from .worldsheet import StringInitialData
 __all__ = [
     "LightconeGrid",
     "build_grid",
+    "level_batches",
+    "CharacteristicTable",
     "BlowUpReport",
     "LightconeSolution",
     "initial_lightcone_data",
@@ -111,6 +114,69 @@ def build_grid(cmap: CoordinateMap, step: float, t_max: float) -> LightconeGrid:
             f"at step {step:.6g}, requested t_max={t_max:.6g}"
         )
     return grid
+
+
+LEVEL_BATCH = 1 << 16  # lattice points per batch of whole levels
+
+
+def level_batches(t_nodes, nodes):
+    """Consecutive slices of ``t_nodes``, each of whole levels of about
+    ``LEVEL_BATCH`` points at ``nodes`` points per level (one level at
+    least), so a lattice-wide field is never held whole."""
+    per_batch = max(1, LEVEL_BATCH // nodes)
+    for start in range(0, len(t_nodes), per_batch):
+        yield t_nodes[start : start + per_batch]
+
+
+def _samples(values, first, lo, hi):
+    """``values``, the first at lattice index ``first``, at the indices
+    lo <= k < hi; NaN where they are not sampled."""
+    before, after = max(first - lo, 0), max(hi - first - len(values), 0)
+    start = lo - first + before
+    return np.pad(values, (before, after), constant_values=np.nan)[start : start + hi - lo]
+
+
+class CharacteristicTable:
+    """A function of xi = vtheta + t and one of eta = vtheta - t on the
+    lattice ``grid``, sampled once over the lattice indices a use reads:
+    ``xi[k - xi_first]`` and ``eta[k - eta_first]`` at vtheta = lo + k step.
+    At level m and node j, xi is index j + m and eta index j - m."""
+
+    def __init__(self, grid: LightconeGrid, xi, eta, xi_first: int, eta_first: int):
+        self.grid, self.xi, self.eta = grid, xi, eta
+        self.xi_first, self.eta_first = xi_first, eta_first
+
+    def at(self, level, node, count):
+        """Both functions at ``count`` nodes from (level, node), as two
+        contiguous views; level and node may be half-integers that sum to
+        an integer, as at the rectangle leg midpoints."""
+        i = int(round(node + level)) - self.xi_first
+        k = int(round(node - level)) - self.eta_first
+        if min(i, k) < 0 or i + count > len(self.xi) or k + count > len(self.eta):
+            raise IndexError(f"lattice point (level {level}, node {node}) outside the tables")
+        return self.xi[i : i + count], self.eta[k : k + count]
+
+    def level_blocks(self, op, triangle: bool):
+        """Yield ``(levels, block, where)`` per batch of whole levels:
+        block[r, j] = op(xi-function, eta-function) at level levels[r] and
+        node j, from two strided views of the samples into one buffer that
+        the next block reuses.  ``where`` marks the nodes to read: with
+        ``triangle`` those of ``grid.valid_bounds`` (an unsampled node
+        reads NaN), else all (True)."""
+        nodes, levels = len(self.grid.vtheta), self.grid.n_levels
+        xi_rows = sliding_window_view(_samples(self.xi, self.xi_first, 0, nodes + levels), nodes)
+        eta = _samples(self.eta, self.eta_first, -levels, nodes)
+        eta_rows = sliding_window_view(eta, nodes)[::-1]  # row m starts at index -m
+        block = None
+        for batch in level_batches(range(levels + 1), nodes):
+            rows = slice(batch.start, batch.stop)
+            out = None if block is None else block[: len(batch)]
+            block = op(xi_rows[rows], eta_rows[rows], out=out)
+            where = True
+            if triangle and not self.grid.periodic:
+                m, j = np.arange(batch.start, batch.stop)[:, None], np.arange(nodes)
+                where = (j >= m) & (j < nodes - m)
+            yield batch, block, where
 
 
 @dataclass(frozen=True)

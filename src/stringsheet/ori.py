@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_THRESHOLDS
 from .errors import ConfigError, DomainTruncationError
-from .lightcone import LightconeGrid, corners, initial_lightcone_data, march
+from .lightcone import CharacteristicTable, LightconeGrid, corners, initial_lightcone_data, march
 from .transport import CoordinateMap
 from .worldsheet import Profile, StringInitialData, _continue
 
@@ -277,9 +277,10 @@ class OriClosedForm:
         bisection in t.
 
         Every lattice level is read from the lattice tables over its valid
-        nodes.  A last level at t_max off the lattice, and the bisection,
-        evaluate pointwise on the nodes of level ceil(t / step): on a line,
-        the lattice nodes inside the triangle at time t."""
+        nodes, a block of levels at a time.  A last level at t_max off the
+        lattice, and the bisection, evaluate pointwise on the nodes of level
+        ceil(t / step): on a line, the lattice nodes inside the triangle at
+        time t."""
         grid = self.scan_grid(t_max)
         tables = LatticeTables(self, grid)
 
@@ -291,19 +292,22 @@ class OriClosedForm:
             nodes = nodes_at(t)
             return float(np.min(self.log_argument(np.full_like(nodes, t), nodes)))
 
-        def level_minima():
-            for m, t in enumerate(grid.t_nodes):
-                yield float(t), float(np.min(tables.level(m)))
-            if grid.t_max > grid.t_nodes[-1]:
-                yield grid.t_max, min_arg(grid.t_max)
+        def level_minima():  # (times, minima) a block of levels at a time
+            for levels, minima in tables.level_minima():
+                yield grid.step * np.arange(levels.start, levels.stop), minima
+            if grid.t_max > grid.step * grid.n_levels:
+                yield [grid.t_max], np.array([min_arg(grid.t_max)])
 
         report = dict(t_end=grid.t_max, window=self.scan_window(), triangle=self.period is None)
         margin = np.inf
         t_prev = 0.0
-        for t, m in level_minima():
-            margin = min(margin, m)
-            if m <= self.eps_log:
-                t_lo, t_hi = t_prev, t
+        for times, minima in level_minima():
+            failed = np.flatnonzero(minima <= self.eps_log)
+            read = minima[: failed[0] + 1] if len(failed) else minima
+            margin = min(margin, float(np.fmin.reduce(read)))  # both skip a NaN level
+            if len(failed):
+                k = failed[0]
+                t_lo, t_hi = float(times[k - 1]) if k else t_prev, float(times[k])
                 while t_hi - t_lo > 1e-6:  # t* to six decimals
                     mid = 0.5 * (t_lo + t_hi)
                     if min_arg(mid) <= self.eps_log:
@@ -319,7 +323,7 @@ class OriClosedForm:
                     vtheta_star=float(nodes[j]),
                     **report,
                 )
-            t_prev = t
+            t_prev = float(times[-1])
         return ExistenceReport(passed=True, margin_min=margin, **report)
 
     def corollary_flags(
@@ -344,27 +348,22 @@ class OriClosedForm:
         )
 
 
-class LatticeTables:
+class LatticeTables(CharacteristicTable):
     """The closed form gathered from 1D tables on a characteristic lattice
     ``grid``, with nodes vtheta = lo + j step (0 <= j < nodes) and levels
     t = m step (0 <= m <= n_levels).
 
     The psi-form log argument splits as A(xi) + B(eta), xi = vtheta + t,
     eta = vtheta - t, with A = e^{-phi3/2}/2 - F/2, B = e^{-phi3/2}/2 + F/2
-    and F(s) = cumulative(s/2).  The partials need Q = q30 e^{-phi3/2} at xi
-    and P = p30 e^{-phi3/2} at eta.  All four are sampled once on the grid
-    lo + k step by the pointwise methods, so periodic winding carries over
-    unchanged.  A and Q cover the xi-indices k the lattice reads, B and P
-    its eta-indices.  On a line the triangle of determinacy, rectangle
+    and F(s) = cumulative(s/2): the two functions of this table.  The
+    partials need Q = q30 e^{-phi3/2} at xi and P = p30 e^{-phi3/2} at eta,
+    a second table over the same indices.  All four are sampled once on the
+    grid lo + k step by the pointwise methods, so periodic winding carries
+    over unchanged.  On a line the triangle of determinacy, rectangle
     corners and leg midpoints included, reads 0 <= k < nodes in both.  On a
     ring the tables cover the whole xi- and eta-range of the levels, with a
     margin of ``_MARGIN`` steps for the rectangle corners one node outside.
-
-    A lattice point is named by its level and node in units of the step
-    (t = level step, vtheta = lo + node step).  Both may be half-integers
-    when their sum is an integer, as at the rectangle leg midpoints; the
-    point then has xi-index node + level and eta-index node - level, and
-    ``count`` consecutive nodes read contiguous table slices.
+    A point (level, node) is read as ``CharacteristicTable.at`` names it.
     """
 
     _MARGIN = 2
@@ -377,10 +376,10 @@ class LatticeTables:
             xi, eta = (-pad, nodes + levels + pad), (-levels - pad, nodes + pad)
         else:
             xi = eta = (0, nodes - 1)
-        self._grid = grid
-        self._xi_origin, self._eta_origin = -xi[0], -eta[0]
-        self._a, self._q = self._sample(cf, lo, step, *xi, -1.0, cf.q30_bar)
-        self._b, self._p = self._sample(cf, lo, step, *eta, 1.0, cf.p30_bar)
+        a, q = self._sample(cf, lo, step, *xi, -1.0, cf.q30_bar)
+        b, p = self._sample(cf, lo, step, *eta, 1.0, cf.p30_bar)
+        super().__init__(grid, a, b, xi[0], eta[0])
+        self._traces = CharacteristicTable(grid, q, p, xi[0], eta[0])
         self.coupling_constant = cf.a
         self.eps_log = cf.eps_log
 
@@ -400,36 +399,35 @@ class LatticeTables:
             weighted[part] = trace(x) * w
         return half, weighted
 
-    def _slices(self, level, node, count):
-        i = self._xi_origin + int(round(node + level))
-        k = self._eta_origin + int(round(node - level))
-        if min(i, k) < 0 or i + count > len(self._a) or k + count > len(self._b):
-            raise IndexError(f"lattice point (level {level}, node {node}) outside the tables")
-        return slice(i, i + count), slice(k, k + count)
-
     def log_argument(self, level, node, count):
-        xi, eta = self._slices(level, node, count)
-        return self._a[xi] + self._b[eta]
+        a, b = self.at(level, node, count)
+        return a + b
 
     def level(self, m):
         """The log argument on the valid nodes of level m."""
-        lo, hi = self._grid.valid_bounds(m)
+        lo, hi = self.grid.valid_bounds(m)
         return self.log_argument(m, lo, hi - lo)
 
+    def level_minima(self):
+        """Yield ``(levels, minima)`` per range of whole levels: the least
+        log argument on the valid nodes of each, ``np.min(self.level(m))``."""
+        for levels, block, where in self.level_blocks(np.add, True):
+            yield levels, np.min(block, axis=1, initial=np.inf, where=where)
+
     def u3_xi(self, level, node, count):
-        xi, _ = self._slices(level, node, count)
-        return self._q[xi] / self.log_argument(level, node, count)
+        q, _ = self._traces.at(level, node, count)
+        return q / self.log_argument(level, node, count)
 
     def u3_eta(self, level, node, count):
-        _, eta = self._slices(level, node, count)
-        return self._p[eta] / self.log_argument(level, node, count)
+        _, p = self._traces.at(level, node, count)
+        return p / self.log_argument(level, node, count)
 
     def coupling(self, level, node, count):
         if self.coupling_constant is None:
             raise ConfigError("coupling constant not set on this closed form")
-        xi, eta = self._slices(level, node, count)
+        q, p = self._traces.at(level, node, count)
         d = self.log_argument(level, node, count)
-        return self.coupling_constant * self._q[xi] * self._p[eta] / (d * d)
+        return self.coupling_constant * q * p / (d * d)
 
 
 # ---------------------------------------------------------------------------

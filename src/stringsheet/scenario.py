@@ -29,9 +29,16 @@ __all__ = [
     "build_domain",
     "build_theta_grid",
     "build_initial_arrays",
+    "check_size",
+    "MAX_LATTICE_POINTS",
     "FAMILIES",
     "PROFILE_REGISTRY",
 ]
+
+
+# the most points a scenario may lay out, data nodes times levels; far above
+# the largest shipped lattice (the 11,304 x 628 existence scan of ori_global)
+MAX_LATTICE_POINTS = 10**9
 
 
 def _finite(value, name) -> float:
@@ -168,6 +175,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
     )
     # the output and compare values are read late; reject them at load
     scenario.snapshot_stride, scenario.compare_levels
+    check_size(scenario)
     return scenario
 
 
@@ -232,14 +240,32 @@ def build_domain(scenario: Scenario) -> Optional[float]:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
-def build_theta_grid(scenario: Scenario) -> np.ndarray:
-    """The data nodes, laid out as a lattice row (``LightconeGrid.row``)."""
+def _window(scenario: Scenario):
+    """(first data node, span, period) of the domain."""
     period = build_domain(scenario)
     if period is None:
         lo, hi = map(float, scenario.domain["window"])
-        span = hi - lo
-    else:
-        lo, span = _finite(scenario.domain.get("start", 0.0), "start"), period
+        return lo, hi - lo, None
+    return _finite(scenario.domain.get("start", 0.0), "start"), period, period
+
+
+def check_size(scenario: Scenario) -> None:
+    """Reject a scenario that would lay out more than ``MAX_LATTICE_POINTS``
+    points: about span / h + 1 data nodes times t_max / h + 1 levels,
+    counted in floats before any array is allocated."""
+    _, span, _ = _window(scenario)
+    h, t_max = scenario.step, scenario.t_max
+    nodes, levels = span / h + 1.0, t_max / h + 1.0
+    if not nodes * levels <= MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"grid 'h' = {h:g} and 't_max' = {t_max:g} lay out about {nodes:.3g} nodes "
+            f"x {levels:.3g} levels, over the limit of {MAX_LATTICE_POINTS:.0e} points"
+        )
+
+
+def build_theta_grid(scenario: Scenario) -> np.ndarray:
+    """The data nodes, laid out as a lattice row (``LightconeGrid.row``)."""
+    lo, span, period = _window(scenario)
     n, step = LightconeGrid.row(span, scenario.step, period is not None)
     return lo + step * np.arange(n)
 
@@ -249,6 +275,8 @@ def _arrays_from_families(theta: np.ndarray, spec_list, dim: int, label: str) ->
         raise ConfigError(f"{label} must list {dim} component families")
     cols = []
     for k, spec in enumerate(spec_list):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{label}[{k}] must be a JSON object naming a family, got {spec!r}")
         fam = spec.get("family")
         if fam not in FAMILIES:
             raise ConfigError(

@@ -110,35 +110,20 @@ class TransportFields:
     vtheta_nodes: np.ndarray
     lam_minus: np.ndarray  # shape (levels, nodes)
     lam_plus: np.ndarray
-    ordering_ok: bool
-    violation: Optional[tuple]  # (t, vtheta, lam-, lam+)
 
 
 def solve_riemann_invariants(
     cmap: CoordinateMap, t_nodes, vtheta_nodes
 ) -> TransportFields:
-    """Shift the initial profiles along the unit-speed characteristics and
-    verify the strict ordering on the whole lattice."""
+    """Shift the initial profiles along the unit-speed characteristics onto
+    the product lattice."""
     t = np.asarray(t_nodes, dtype=float)
     s = np.asarray(vtheta_nodes, dtype=float)
-    args_minus = s[None, :] - t[:, None]
-    args_plus = s[None, :] + t[:, None]
-    lm = cmap.lam_minus_bar(args_minus)
-    lp = cmap.lam_plus_bar(args_plus)
-    bad = lm >= lp
-    ordering_ok = not bool(np.any(bad))
-    violation = None
-    if not ordering_ok:
-        level = int(np.argmax(np.any(bad, axis=1)))
-        j = int(np.argmax(bad[level]))
-        violation = (float(t[level]), float(s[j]), float(lm[level, j]), float(lp[level, j]))
     return TransportFields(
         t_nodes=t,
         vtheta_nodes=s,
-        lam_minus=lm,
-        lam_plus=lp,
-        ordering_ok=ordering_ok,
-        violation=violation,
+        lam_minus=cmap.lam_minus_bar(s[None, :] - t[:, None]),
+        lam_plus=cmap.lam_plus_bar(s[None, :] + t[:, None]),
     )
 
 

@@ -7,7 +7,8 @@ check:
 * per-point worldsheet kinematics: induced metric, characteristic speeds,
   the first-order system's eigenstructure, null pairs, and the analytic and
   finite-difference speed gradients behind linear degeneracy;
-* the global speed-ordering sweep as one loop over the nodes;
+* the global speed-ordering sweep as one loop over the nodes, and the
+  ordering of the transported speeds over a whole product lattice at once;
 * the metric models' connection coefficients and metric partials, with a
   finite-difference oracle built from ``metric`` alone, and the relative
   null residuals contracted with the full metric tensor;
@@ -16,8 +17,9 @@ check:
   conservation-identity residual, and RK4 tracing of characteristics in
   the original coordinate;
 * the closed form: the pointwise partials that ``ori.LatticeTables``
-  gathers, and the p- and q-route log arguments, integrated by
-  Gauss-Legendre quadrature over the spline knots.
+  gathers, the p- and q-route log arguments, integrated by
+  Gauss-Legendre quadrature over the spline knots, and the existence scan
+  that read its lattice one level per iteration.
 """
 from dataclasses import dataclass
 
@@ -27,7 +29,8 @@ from scipy.interpolate import PchipInterpolator
 
 from stringsheet import DEFAULT_THRESHOLDS, OriGeneral
 from stringsheet.errors import CausalityError, DegeneracyError
-from stringsheet.transport import CoordinateMap
+from stringsheet.ori import ExistenceReport, LatticeTables
+from stringsheet.transport import CoordinateMap, solve_riemann_invariants
 from stringsheet.worldsheet import Profile, _speed_roots
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,21 @@ def ordering_sweep_loop(lam_minus, lam_plus, periodic):
         if run >= lp[k]:
             return False, (arg % n, k % n)
     return True, None
+
+
+def whole_lattice_ordering_violation(cmap, t_nodes, vtheta_nodes):
+    """The first (t, vtheta, lam-, lam+), level by level and node by node,
+    where lam- >= lam+ on the product lattice, from the speeds transported
+    over all of it at once; None if they keep their order."""
+    t, s = np.asarray(t_nodes, dtype=float), np.asarray(vtheta_nodes, dtype=float)
+    fields = solve_riemann_invariants(cmap, t, s)
+    bad = fields.lam_minus >= fields.lam_plus
+    if not np.any(bad):
+        return None
+    level = int(np.argmax(np.any(bad, axis=1)))
+    j = int(np.argmax(bad[level]))
+    lm, lp = fields.lam_minus[level, j], fields.lam_plus[level, j]
+    return float(t[level]), float(s[j]), float(lm), float(lp)
 
 
 def smallness_flag(data, epsilon: float) -> bool:
@@ -553,3 +571,56 @@ def route_u3(cf, t, vtheta, route):
     edge = xi if route == "p" else eta
     arg = np.exp(-0.5 * cf.phi3_bar(edge)) - 0.25 * (primitive(xi) - primitive(eta))
     return -2.0 * np.log(np.where(arg > cf.eps_log, arg, np.nan))
+
+
+def per_level_minima(tables, grid):
+    """The least log argument on the valid nodes of each level of ``grid``,
+    one level at a time."""
+    return np.array([np.min(tables.level(m)) for m in range(grid.n_levels + 1)])
+
+
+def per_level_existence_check(cf, t_max):
+    """``OriClosedForm.existence_check`` as it was before the block scan:
+    each lattice level's minimum read by ``np.min(tables.level(m))`` in one
+    Python iteration, the margin kept by ``min()``."""
+    grid = cf.scan_grid(t_max)
+    tables = LatticeTables(cf, grid)
+
+    def nodes_at(t):
+        lo, hi = grid.valid_bounds(int(np.ceil(t / grid.step - 1e-9)))
+        return grid.vtheta[lo:hi]
+
+    def min_arg(t):
+        nodes = nodes_at(t)
+        return float(np.min(cf.log_argument(np.full_like(nodes, t), nodes)))
+
+    def level_minima():
+        for m, t in enumerate(grid.t_nodes):
+            yield float(t), float(np.min(tables.level(m)))
+        if grid.t_max > grid.t_nodes[-1]:
+            yield grid.t_max, min_arg(grid.t_max)
+
+    report = dict(t_end=grid.t_max, window=cf.scan_window(), triangle=cf.period is None)
+    margin = np.inf
+    t_prev = 0.0
+    for t, m in level_minima():
+        margin = min(margin, m)
+        if m <= cf.eps_log:
+            t_lo, t_hi = t_prev, t
+            while t_hi - t_lo > 1e-6:
+                mid = 0.5 * (t_lo + t_hi)
+                if min_arg(mid) <= cf.eps_log:
+                    t_hi = mid
+                else:
+                    t_lo = mid
+            nodes = nodes_at(t_hi)
+            j = int(np.argmin(cf.log_argument(np.full_like(nodes, t_hi), nodes)))
+            return ExistenceReport(
+                passed=False,
+                margin_min=margin,
+                t_star=0.5 * (t_lo + t_hi),
+                vtheta_star=float(nodes[j]),
+                **report,
+            )
+        t_prev = t
+    return ExistenceReport(passed=True, margin_min=margin, **report)

@@ -20,7 +20,7 @@ from conftest import (
     recorded_solve,
     recorded_staged,
 )
-from oracles import map_from_profiles
+from oracles import map_from_profiles, whole_lattice_ordering_violation
 from stringsheet import cli, lightcone, ori, scenario, transport, worldsheet
 from stringsheet.cli import main
 
@@ -94,6 +94,12 @@ MALFORMED_SMOOTH = {
     "a": (("metric", "a"), "x"),
     "snapshot_stride": (("output", "snapshot_stride"), "x"),
     "levels": (("compare", "levels"), "three"),
+    # a family spec that is not an object; the error names phi[0], psi[2]
+    "phi-spec": (("initial_data", "phi", 0), 1),
+    "psi-spec": (("initial_data", "psi", 2), "sine"),
+    # sizes numpy refuses to allocate: rejected at load, before any array
+    "t_max-size": (("grid", "t_max"), 1e300),
+    "h-size": (("grid", "h"), 1e-300),
 }
 
 
@@ -105,6 +111,26 @@ def test_malformed_values_exit_1_with_one_error_line(case, command, tmp_path, ca
     code = main([command, str(scenario_path), "--out", str(tmp_path / "out")])
     assert_one_error_line(code, capsys.readouterr(), path[-1])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize(
+    "flag, value, name", [("--tmax", "1e300", "t_max"), ("--grid-override", "1e-300", "h")]
+)
+def test_oversized_flags_exit_1_with_one_error_line(command, flag, value, name, tmp_path, capsys):
+    # the flags replace the grid after load; the size limit applies to them
+    out_dir = tmp_path / "out"
+    path = SCENARIO_DIR / "ori_smooth.json"
+    code = main([command, str(path), flag, value, "--out", str(out_dir)])
+    assert_one_error_line(code, capsys.readouterr(), name)
+    assert not out_dir.exists()
+
+
+def test_size_limit_is_far_above_the_largest_shipped_lattice():
+    # check ori_global scans 11,304 levels x 628 nodes
+    assert scenario.MAX_LATTICE_POINTS >= 100 * 11304 * 628
+    for name in SHIPPED_VERDICTS:
+        scenario.check_size(scenario.load_scenario(SCENARIO_DIR / f"{name}.json"))
 
 
 def test_negative_spatial_dimension_exits_1_with_one_error_line(tmp_path, capsys):
@@ -305,10 +331,10 @@ def test_speeds_ordering_break_exits_2_without_the_field_file(tmp_path, capsys):
 def test_speeds_ordering_break_in_a_later_batch_leaves_no_field_file(
     tmp_path, monkeypatch, capsys
 ):
-    # four levels a batch: ten batches of rows are written before the
-    # eleventh, which holds the crossing level, breaks the ordering
-    monkeypatch.setattr(cli, "LEVEL_BATCH", 4 * 201)
-    assert [len(b) for b in cli._level_batches(np.arange(41.0), 201)] == [4] * 10 + [1]
+    # four levels a batch: the ordering scan finds the crossing level in the
+    # eleventh batch, before the field file is opened
+    monkeypatch.setattr(lightcone, "LEVEL_BATCH", 4 * 201)
+    assert [len(b) for b in lightcone.level_batches(np.arange(41.0), 201)] == [4] * 10 + [1]
     out_dir = tmp_path / "sp"
     path = write_scenario(tmp_path, crossing_line_dict())
     assert main(["speeds", str(path), "--out", str(out_dir)]) == 2
@@ -330,7 +356,7 @@ def test_speeds_field_is_the_oracle_format_of_the_library_fields(
 ):
     # the text columns and the single transport pass write the bytes of
     # one format(x, ".17g") per library value, whatever the batching
-    monkeypatch.setattr(cli, "LEVEL_BATCH", level_batch)
+    monkeypatch.setattr(lightcone, "LEVEL_BATCH", level_batch)
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
     path = write_scenario(tmp_path, make())
     assert main(["speeds", str(path), "--out", str(tmp_path / "sp")]) == 0
@@ -471,7 +497,7 @@ def traced_peak(argv):
 @pytest.mark.parametrize("command, denom", [("simulate", 256), ("compare", 192)])
 def test_peak_memory_does_not_scale_with_levels(tmp_path, command, denom):
     # Four times the levels may raise the peak by at most half.  The march
-    # holds one diagonal, the speed ordering is checked in level batches and
+    # holds one diagonal, the speed ordering is checked from 1-D tables and
     # theta is evaluated per written level; with whole (levels, nodes, 4)
     # lattices the peak grew 3.6x (simulate) and 3.8x (compare) on these
     # scenarios.
@@ -488,12 +514,12 @@ def test_peak_memory_does_not_scale_with_levels(tmp_path, command, denom):
 
 @pytest.mark.parametrize("command", ["speeds", "simulate"])
 def test_transport_memory_does_not_grow_with_t_max(tmp_path, monkeypatch, command):
-    # speeds transports and writes, and simulate checks the speed ordering,
-    # in batches of about five levels, and theta is evaluated only on the
-    # levels written, so four times t_max leaves the peak where it was; with
-    # whole-lattice speed and theta tables it grew 3.6x (speeds) and 1.8x
-    # (simulate) here
-    monkeypatch.setattr(cli, "LEVEL_BATCH", 1024)
+    # speeds transports and writes in batches of about five levels, simulate
+    # checks the speed ordering from 1-D tables, and theta is evaluated only
+    # on the levels written, so four times t_max leaves the peak where it
+    # was; with whole-lattice speed and theta tables it grew 3.6x (speeds)
+    # and 1.8x (simulate) here
+    monkeypatch.setattr(lightcone, "LEVEL_BATCH", 1024)
     peaks = []
     for t_max in (8.0, 32.0):
         cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=t_max, stride=10**6)
@@ -543,25 +569,64 @@ def test_check_out_is_independent_of_the_level_batch(
     tmp_path, monkeypatch, smooth_log_argument, levels
 ):
     # ori_smooth has 256 nodes per level and 204 levels
-    monkeypatch.setattr(cli, "LEVEL_BATCH", 256 * levels + 100)
-    assert len(next(cli._level_batches(np.arange(204.0), 256))) == levels
+    monkeypatch.setattr(lightcone, "LEVEL_BATCH", 256 * levels + 100)
+    assert len(next(lightcone.level_batches(np.arange(204.0), 256))) == levels
     assert main(["check", str(SCENARIO_DIR / "ori_smooth.json"), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "log_argument.csv").read_bytes() == smooth_log_argument
 
 
 def test_speed_ordering_batches_find_the_whole_lattice_violation(monkeypatch):
-    # the data of test_ordering_violation_detected_at_predicted_time, one
-    # level per batch against the whole lattice at once
+    # the data of test_ordering_violation_detected_at_predicted_time on the
+    # line lattice of its window, one level a batch, seven levels (which do
+    # not divide the 301) and one batch, against the whole lattice at once
     lam_m = lambda s: -np.tanh(0.8 * s)
     lam_p = lambda s: -np.tanh(0.8 * s) + 0.2
     cmap = map_from_profiles(lam_m, lam_p, (-8.0, 8.0), nodes=801)
-    t = 0.02 * np.arange(int(6.0 / 0.02) + 1)
-    vth = np.linspace(-8.0, 8.0, 801)
-    whole = transport.solve_riemann_invariants(cmap, t, vth)
-    assert not whole.ordering_ok
-    monkeypatch.setattr(cli, "LEVEL_BATCH", 1)
-    grid = SimpleNamespace(t_nodes=t, vtheta=vth)
-    assert cli._speed_ordering_violation(cmap, grid) == whole.violation
+    grid = lightcone.LightconeGrid.over(-8.0, 0.02, 801, None, 6.0)
+    assert grid.n_levels == 300
+    whole = whole_lattice_ordering_violation(cmap, grid.t_nodes, grid.vtheta)
+    assert whole is not None
+    for level_batch in (1, 7 * 801, 1 << 16):
+        monkeypatch.setattr(lightcone, "LEVEL_BATCH", level_batch)
+        assert cli._speed_ordering_violation(cmap, grid) == whole
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["minkowski_wave", "ori_blowup", "ori_global", "ori_psi_negative", "ori_smooth",
+     "crossing_line"],
+)
+def test_speed_ordering_verdict_is_that_of_the_whole_lattice(name, tmp_path, capsys):
+    # simulate and speeds both decide exit 2 by _speed_ordering_violation on
+    # their lattice: its verdict and printed line are those of the speeds
+    # transported over the whole lattice at once
+    if name == "crossing_line":
+        path = write_scenario(tmp_path, crossing_line_dict())
+    else:
+        path = SCENARIO_DIR / f"{name}.json"
+    _, _, cmap, grid = library_lattice(path)
+    whole = whole_lattice_ordering_violation(cmap, grid.t_nodes, grid.vtheta)
+    line = ""
+    if whole is not None:
+        line = f"speed ordering breaks at t={whole[0]:.6g}, vartheta={whole[1]:.6g}\n"
+    assert cli._speed_ordering_violation(cmap, grid) == whole
+    assert capsys.readouterr().out == line
+    assert (name == "crossing_line") == (line == "speed ordering breaks at t=2, vartheta=-3\n")
+
+
+def test_simulate_does_not_transport_the_speeds(tmp_path, monkeypatch):
+    calls = []
+    riemann = transport.solve_riemann_invariants
+    monkeypatch.setattr(
+        transport, "solve_riemann_invariants", lambda *args: calls.append(args) or riemann(*args)
+    )
+    path = SCENARIO_DIR / "ori_smooth.json"
+    assert main(["simulate", str(path), "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 0
+    # the counter sees speeds, which writes its lambda columns from it
+    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=0.5))
+    assert main(["speeds", str(path), "--out", str(tmp_path / "sp")]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +895,9 @@ def test_writer_peak_memory_does_not_grow_with_a_text_block(tmp_path):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def library_run(path):
-    """The pipeline of ``speeds`` and ``simulate`` called through the
-    library, to hold the values their CSVs must contain."""
+def library_lattice(path):
+    """The model, data, coordinate map and lattice of ``speeds`` and
+    ``simulate``, built through the library."""
     sc = scenario.load_scenario(path)
     model = scenario.build_model(sc)
     theta = scenario.build_theta_grid(sc)
@@ -841,7 +906,13 @@ def library_run(path):
         model, theta, phi, psi, scenario.build_domain(sc), thresholds=sc.thresholds
     )
     cmap = transport.build_theta0(data)
-    grid = lightcone.build_grid(cmap, sc.step, sc.t_max)
+    return model, data, cmap, lightcone.build_grid(cmap, sc.step, sc.t_max)
+
+
+def library_run(path):
+    """The pipeline of ``speeds`` and ``simulate`` called through the
+    library, to hold the values their CSVs must contain."""
+    model, data, cmap, grid = library_lattice(path)
     fields = transport.solve_riemann_invariants(cmap, grid.t_nodes, grid.vtheta)
     mesh = transport.build_inverse_map(cmap, grid.t_nodes, grid.vtheta)
     return model, data, cmap, grid, fields, mesh

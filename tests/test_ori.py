@@ -1,5 +1,11 @@
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from conftest import (
@@ -12,9 +18,17 @@ from conftest import (
     recorded_solve,
     recorded_staged,
 )
-from oracles import coupling, route_u3, u3_eta, u3_xi
+from oracles import (
+    coupling,
+    per_level_existence_check,
+    per_level_minima,
+    route_u3,
+    u3_eta,
+    u3_xi,
+)
 from stringsheet import (
     DomainTruncationError,
+    lightcone,
     LightconeGrid,
     OriClosedForm,
     OriQuadratic,
@@ -338,6 +352,85 @@ def test_existence_check_matches_pointwise_scan(label):
     assert report.vtheta_star == expect["vtheta_star"]
     if not expect["passed"]:
         assert abs(report.t_star - expect["t_star"]) <= 1e-6
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``, so that equality is bitwise."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_scan_is_the_per_level_scan(cf, t_max):
+    """The blocked scan's report and per-level minima against the scan that
+    read one level per iteration, bit for bit."""
+    report, expect = cf.existence_check(t_max), per_level_existence_check(cf, t_max)
+    assert astuple(report) == astuple(expect)
+    assert bits(report.margin_min) == bits(expect.margin_min)
+    grid = cf.scan_grid(t_max)
+    tables = LatticeTables(cf, grid)
+    blocks = list(tables.level_minima())
+    assert [m for levels, _ in blocks for m in levels] == list(range(grid.n_levels + 1))
+    got = np.concatenate([minima for _, minima in blocks])
+    assert np.array_equal(bits(got), bits(per_level_minima(tables, grid)))
+    return report, grid, got
+
+
+def _levels_not_dividing(count):
+    return next(k for k in (7, 11, 13, 17) if count % k)
+
+
+@pytest.mark.parametrize("batch", ["one level", "not dividing", "failure in a later block"])
+@pytest.mark.parametrize("label", list(SCAN_CASES))
+def test_blocked_scan_is_the_per_level_scan_bit_for_bit(label, batch, monkeypatch):
+    cf, t_max = SCAN_CASES[label]()
+    grid = cf.scan_grid(t_max)
+    nodes, count = len(grid.vtheta), grid.n_levels + 1
+    if batch == "one level":
+        per_block = 1
+    elif batch == "not dividing":
+        per_block = _levels_not_dividing(count)
+    else:
+        # the first level at or below eps_log (or the last level on a pass)
+        # falls inside the fourth block or a later one, not at its start
+        _, expect_grid, minima = assert_scan_is_the_per_level_scan(cf, t_max)
+        failing = np.flatnonzero(minima <= cf.eps_log)
+        first = int(failing[0]) if len(failing) else count - 1
+        per_block = max(1, first // 3 - 1)
+        assert first // per_block >= 3 and first % per_block
+    monkeypatch.setattr(lightcone, "LEVEL_BATCH", per_block * nodes)
+    assert_scan_is_the_per_level_scan(cf, t_max)
+
+
+@given(
+    st.sampled_from(range(4)),
+    arrays(np.float64, st.tuples(st.just(2), st.integers(1, 3), st.just(2)),
+           elements=st.floats(-0.3, 0.3)),
+    st.floats(0.0, 1.0),
+    st.integers(1, 40),
+)
+def test_blocked_scan_matches_the_per_level_scan_on_random_profiles(kind, coef, u, per_block):
+    # the four kinds of random periodic profile the existence benchmark
+    # draws: psi3 pushed nonpositive, small amplitudes, a forward drift that
+    # blows up (so the scan bisects), and unconstrained
+    shift, scale = 0.0, 1.0
+    if kind == 0:
+        shift = -(0.05 + 0.25 * u) - float(np.sum(np.abs(coef[1])))
+    elif kind == 1:
+        scale = 0.03
+    elif kind == 2:
+        shift = 0.5 + 0.5 * u
+
+    def series(s, row):
+        s = np.asarray(s, dtype=float)
+        k = np.arange(1, coef.shape[1] + 1)
+        return scale * (np.sin(np.multiply.outer(s, k)) @ coef[row, :, 0]
+                        + np.cos(np.multiply.outer(s, k)) @ coef[row, :, 1])
+
+    cf = OriClosedForm.from_profiles(
+        lambda s: series(s, 0), lambda s: shift + series(s, 1), (0.0, 2 * np.pi),
+        periodic=True, nodes=257,
+    )
+    with mock.patch.object(lightcone, "LEVEL_BATCH", per_block * 257):
+        assert_scan_is_the_per_level_scan(cf, 8.0)
 
 
 @pytest.mark.parametrize("t_max,t_end", [(12.0, 10.0), (8.0, 8.0)])

@@ -11,6 +11,7 @@ from oracles import (
     quad_across,
     ring_knots,
     rk4_transport_check,
+    whole_lattice_ordering_violation,
 )
 from stringsheet import (
     CausalityError,
@@ -20,8 +21,8 @@ from stringsheet import (
     build_theta0,
     solve_riemann_invariants,
 )
-from stringsheet.cli import _prepare
-from stringsheet.lightcone import build_grid
+from stringsheet.cli import _prepare, _speed_ordering_violation
+from stringsheet.lightcone import LightconeGrid, build_grid
 from stringsheet.scenario import load_scenario
 from stringsheet.transport import rectangle_residual
 
@@ -130,7 +131,6 @@ def test_constant_profiles_stay_constant():
     fields = solve_riemann_invariants(cmap, t, vth)
     assert np.all(fields.lam_minus == -1.0)
     assert np.all(fields.lam_plus == 1.0)
-    assert fields.ordering_ok
 
 
 def test_transport_is_profile_shift():
@@ -168,11 +168,10 @@ def test_ordering_violation_detected_at_predicted_time():
     lam_p = lambda s: -np.tanh(0.8 * s) + 0.2
     cmap = map_from_profiles(lam_m, lam_p, (-8.0, 8.0), nodes=801)
     step = 0.02
-    t = step * np.arange(int(6.0 / step) + 1)
-    vth = np.linspace(-8.0, 8.0, 801)
-    fields = solve_riemann_invariants(cmap, t, vth)
-    assert not fields.ordering_ok
-    s = vth
+    grid = LightconeGrid.over(-8.0, step, 801, None, 6.0)
+    violation = _speed_ordering_violation(cmap, grid)
+    assert violation == whole_lattice_ordering_violation(cmap, grid.t_nodes, grid.vtheta)
+    s = grid.vtheta
     pred = np.inf
     lm_vals = lam_m(s)
     lp_vals = lam_p(s)
@@ -181,7 +180,7 @@ def test_ordering_violation_detected_at_predicted_time():
         bad = lm_vals[i] >= lp_vals[later]
         if np.any(bad):
             pred = min(pred, float(np.min((s[later][bad] - s[i]) / 2.0)))
-    t_detect = fields.violation[0]
+    t_detect = violation[0]
     assert t_detect == pytest.approx(pred, abs=3 * step)
 
 
