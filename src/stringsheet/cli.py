@@ -14,7 +14,12 @@ Exit codes: 0 success, 1 parse or I/O error, 2 physicality violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
+import mmap
+import multiprocessing
+import signal
 import sys
 import time
 from dataclasses import asdict, replace
@@ -52,6 +57,7 @@ EXIT_CONSISTENCY = 5
 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted by one ``%`` operation
+WRITER_LEVELS = 4  # snapshot levels handed to the writer process and not yet written
 
 
 def _format_once(col):
@@ -154,9 +160,13 @@ def _log_argument_blocks(cf, t_nodes, vtheta):
         yield [np.repeat(_format_once(levels), len(vtheta)), np.tile(v_text, len(levels)), log_arg]
 
 
+def _snapshot_name(m):
+    return f"snapshot_{m:05d}.csv"
+
+
 def _snapshot_writer(model, grid, cmap, out_dir: Path):
-    """``write(m, u, p, q)`` writes level m, with its theta, as a snapshot
-    CSV and returns its file name.  The vartheta row is formatted once, and
+    """``write(m, u, p, q)`` writes level m, with its theta and null
+    residuals, as a snapshot CSV.  The vartheta row is formatted once, and
     each level writes its valid slice of it."""
     header = (
         ["t", "vartheta", "theta"]
@@ -171,11 +181,85 @@ def _snapshot_writer(model, grid, cmap, out_dir: Path):
         t_text = np.repeat(_format_once([m * grid.step]), hi - lo)
         theta = transport.build_inverse_map(cmap, grid.t_nodes[m : m + 1], grid.vtheta[lo:hi]).theta
         columns = [t_text, v_text[lo:hi], theta[0], *uu.T, *pp.T, *qq.T, rp, rq]
-        name = out_dir / f"snapshot_{m:05d}.csv"
-        _write_csv(name, header, [columns])
-        return name.name
+        _write_csv(out_dir / _snapshot_name(m), header, [columns])
 
     return write
+
+
+class _SnapshotProcess:
+    """A forked process that runs ``write(m, u, p, q)`` on the levels handed
+    to ``put``, in order, while the caller marches on.
+
+    ``put`` copies a level into one of ``WRITER_LEVELS`` slots of a buffer
+    the two processes share and names the slot over a pipe.  The writer
+    answers each level on a second pipe: None once it is written, or the
+    exception ``write`` raised, after which it writes nothing more.  So at
+    most ``WRITER_LEVELS`` levels wait, and a write error is raised in the
+    caller at a later ``put`` or on leaving the ``with`` block, which waits
+    for every level and ends the process on every exit path.
+
+    The process is forked so that it inherits ``write`` with the model,
+    grid and map it closes over; only level numbers, shapes and errors are
+    pickled.  The caller must not be running threads of its own."""
+
+    def __init__(self, write, slot_floats):
+        ctx = multiprocessing.get_context("fork")
+        buffer = mmap.mmap(-1, 8 * WRITER_LEVELS * slot_floats)
+        self.slots = np.frombuffer(buffer).reshape(WRITER_LEVELS, slot_floats)
+        jobs, self.jobs = ctx.Pipe(duplex=False)
+        self.answers, answers = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(target=self._serve, args=(write, jobs, answers))
+        self.process.start()
+        jobs.close()
+        answers.close()
+        self.sent = self.answered = 0
+
+    def _serve(self, write, jobs, answers):
+        self.jobs.close()
+        self.answers.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends the writer
+        failed = False
+        for m, slot, shape in iter(jobs.recv, None):
+            answer = None
+            if not failed:
+                try:
+                    write(m, *self.slots[slot, : 3 * math.prod(shape)].reshape(3, *shape))
+                except Exception as exc:  # raised again in the caller
+                    answer, failed = exc, True
+            answers.send(answer)
+
+    def _answer(self):
+        try:
+            answer = self.answers.recv()
+        except EOFError:  # the writer died without answering
+            self.process.join()
+            raise OSError(f"snapshot writer process ended with code {self.process.exitcode}") from None
+        self.answered += 1
+        if answer is not None:
+            raise answer
+
+    def put(self, m, u, p, q):
+        while self.answers.poll() or self.sent - self.answered == WRITER_LEVELS:
+            self._answer()
+        slot = self.sent % WRITER_LEVELS
+        np.concatenate([u.ravel(), p.ravel(), q.ravel()], out=self.slots[slot, : 3 * u.size])
+        self.jobs.send((m, slot, u.shape))
+        self.sent += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        try:
+            while self.answered < self.sent:
+                self._answer()
+        finally:
+            with contextlib.suppress(BrokenPipeError):  # a writer that died reads no more
+                self.jobs.send(None)
+            self.process.join()
+            self.process.close()
+            self.jobs.close()
+            self.answers.close()
 
 
 def _speed_ordering_violation(cmap, grid):
@@ -219,18 +303,22 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
     if _speed_ordering_violation(cmap, grid) is not None:
         return EXIT_PHYSICALITY
-    write = _snapshot_writer(model, grid, cmap, out_dir)
     stride = max(1, scenario.snapshot_stride)
     snapshots, last = [], []
+    width = 3 * len(grid.vtheta) * model.dim
+    # the writer forks here, with the model, grid and map the levels need
+    with _SnapshotProcess(_snapshot_writer(model, grid, cmap, out_dir), width) as writer:
 
-    def sink(m, *fields):
-        last[:] = [m, *fields]
-        if m % stride == 0:
-            snapshots.append(write(m, *fields))
+        def sink(m, *fields):
+            last[:] = [m, *fields]
+            if m % stride == 0:
+                writer.put(m, *fields)
+                snapshots.append(_snapshot_name(m))
 
-    sol = lightcone.solve(model, data, cmap, grid, thresholds=scenario.thresholds, sink=sink)
-    if sol.levels_computed % stride:
-        snapshots.append(write(*last))
+        sol = lightcone.solve(model, data, cmap, grid, thresholds=scenario.thresholds, sink=sink)
+        if sol.levels_computed % stride:
+            writer.put(*last)
+            snapshots.append(_snapshot_name(last[0]))
     manifest = {
         "command": "simulate",
         "scenario": scenario.raw,

@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+# the most points a lattice may hold, nodes times levels; far above the
+# largest shipped lattice (the 11,304 x 628 existence scan of ori_global)
+MAX_LATTICE_POINTS = 10**9
+
+
 @dataclass(frozen=True)
 class LightconeGrid:
     """Square lattice in (t, vtheta) with the initial line as a diagonal.
@@ -64,15 +69,23 @@ class LightconeGrid:
         """The lattice of the nodes lo + j step (0 <= j < nodes) and the
         levels t = m step up to t_max: on a ring of ``period``, or on a line
         when ``period`` is None, where t_max is cut to the last level that
-        the triangle of determinacy reaches."""
+        the triangle of determinacy reaches.  A lattice of more than
+        ``MAX_LATTICE_POINTS`` points is refused before any array is laid
+        out."""
         if period is None:
             t_max = min(t_max, (nodes - 1) // 2 * step)
+        n_levels = int(np.floor(t_max / step + 1e-9))
+        if nodes * (n_levels + 1) > MAX_LATTICE_POINTS:
+            raise ConfigError(
+                f"a lattice of {nodes} nodes x {n_levels + 1} levels at step {step:.6g} "
+                f"is over the limit of {MAX_LATTICE_POINTS:.0e} points"
+            )
         return cls(
             step=step,
             t_max=t_max,
             vtheta=lo + step * np.arange(nodes),
             period=period,
-            n_levels=int(np.floor(t_max / step + 1e-9)),
+            n_levels=n_levels,
         )
 
     @staticmethod

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import lightcone
 from .config import DEFAULT_THRESHOLDS, Thresholds
 from .errors import ConfigError
 from .lightcone import LightconeGrid
@@ -30,15 +31,9 @@ __all__ = [
     "build_theta_grid",
     "build_initial_arrays",
     "check_size",
-    "MAX_LATTICE_POINTS",
     "FAMILIES",
     "PROFILE_REGISTRY",
 ]
-
-
-# the most points a scenario may lay out, data nodes times levels; far above
-# the largest shipped lattice (the 11,304 x 628 existence scan of ori_global)
-MAX_LATTICE_POINTS = 10**9
 
 
 def _finite(value, name) -> float:
@@ -51,6 +46,13 @@ def _finite(value, name) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
     return number
+
+
+def _path(value, name) -> str:
+    """``value`` as a path string, or a ConfigError naming ``name``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name!r} must be a path string, got {value!r}")
+    return value
 
 
 def _numbers(spec, defaults):
@@ -125,7 +127,7 @@ class Scenario:
     def out_dir(self) -> Path:
         # outputs land relative to the working directory, inputs relative to
         # the scenario file
-        return Path(self.output.get("directory", "out"))
+        return Path(_path(self.output.get("directory", "out"), "directory"))
 
     @property
     def snapshot_stride(self) -> int:
@@ -174,7 +176,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         raw=cfg,
     )
     # the output and compare values are read late; reject them at load
-    scenario.snapshot_stride, scenario.compare_levels
+    scenario.out_dir, scenario.snapshot_stride, scenario.compare_levels
     check_size(scenario)
     return scenario
 
@@ -250,16 +252,17 @@ def _window(scenario: Scenario):
 
 
 def check_size(scenario: Scenario) -> None:
-    """Reject a scenario that would lay out more than ``MAX_LATTICE_POINTS``
-    points: about span / h + 1 data nodes times t_max / h + 1 levels,
-    counted in floats before any array is allocated."""
+    """Reject a scenario that would lay out more than
+    ``lightcone.MAX_LATTICE_POINTS`` points: about span / h + 1 data nodes
+    times t_max / h + 1 levels, counted in floats before any array is
+    allocated."""
     _, span, _ = _window(scenario)
     h, t_max = scenario.step, scenario.t_max
     nodes, levels = span / h + 1.0, t_max / h + 1.0
-    if not nodes * levels <= MAX_LATTICE_POINTS:
+    if not nodes * levels <= lightcone.MAX_LATTICE_POINTS:
         raise ConfigError(
             f"grid 'h' = {h:g} and 't_max' = {t_max:g} lay out about {nodes:.3g} nodes "
-            f"x {levels:.3g} levels, over the limit of {MAX_LATTICE_POINTS:.0e} points"
+            f"x {levels:.3g} levels, over the limit of {lightcone.MAX_LATTICE_POINTS:.0e} points"
         )
 
 
@@ -320,7 +323,7 @@ def _arrays_from_csv(path: Path, theta: np.ndarray, dim: int):
 def build_initial_arrays(scenario: Scenario, theta: np.ndarray, dim: int):
     spec = scenario.initial_data
     if "csv" in spec:
-        return _arrays_from_csv(scenario.base_dir / spec["csv"], theta, dim)
+        return _arrays_from_csv(scenario.base_dir / _path(spec["csv"], "csv"), theta, dim)
     if "phi" not in spec or "psi" not in spec:
         raise ConfigError("initial_data requires 'phi' and 'psi' family lists (or 'csv')")
     phi = _arrays_from_families(theta, spec["phi"], dim, "phi")

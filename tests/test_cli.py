@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 import tempfile
+import threading
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import golden
 from conftest import (
     blowup_scenario_dict,
     ori_smooth_scenario_dict,
@@ -100,6 +105,9 @@ MALFORMED_SMOOTH = {
     # sizes numpy refuses to allocate: rejected at load, before any array
     "t_max-size": (("grid", "t_max"), 1e300),
     "h-size": (("grid", "h"), 1e-300),
+    # path values: rejected at load, before they are joined to a directory
+    "csv": (("initial_data", "csv"), 5),
+    "directory": (("output", "directory"), 5),
 }
 
 
@@ -128,9 +136,24 @@ def test_oversized_flags_exit_1_with_one_error_line(command, flag, value, name, 
 
 def test_size_limit_is_far_above_the_largest_shipped_lattice():
     # check ori_global scans 11,304 levels x 628 nodes
-    assert scenario.MAX_LATTICE_POINTS >= 100 * 11304 * 628
+    assert lightcone.MAX_LATTICE_POINTS >= 100 * 11304 * 628
     for name in SHIPPED_VERDICTS:
         scenario.check_size(scenario.load_scenario(SCENARIO_DIR / f"{name}.json"))
+
+
+def test_check_refuses_a_scan_lattice_over_the_limit(monkeypatch, capsys):
+    # ori_global lays out about 629 data nodes x 5001 levels (3.1 M points)
+    # but scans 628 nodes x 11,303 levels (7.1 M): a limit between the two
+    # passes the scenario at load and refuses the scan before its tables
+    monkeypatch.setattr(lightcone, "MAX_LATTICE_POINTS", 5 * 10**6)
+    monkeypatch.setattr(ori, "LatticeTables", None)  # building one raises TypeError
+    path = SCENARIO_DIR / "ori_global.json"
+    scenario.check_size(scenario.load_scenario(path))
+    code = main(["check", str(path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    assert lines[0].startswith("error: a lattice of 628 nodes x 11303 levels at step 0.00442362")
 
 
 def test_negative_spatial_dimension_exits_1_with_one_error_line(tmp_path, capsys):
@@ -214,16 +237,112 @@ def test_simulate_blowup_exits_4(tmp_path):
     assert abs(manifest["blowup"]["time"] - 4.0) <= 0.2
 
 
-def test_consistency_breach_exits_5(tmp_path):
+def test_consistency_breach_exits_5(tmp_path, monkeypatch):
     # coarse grid on O(1) amplitudes: monitors breach while bounded
     cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 16), t_max=2.0)
     path = write_scenario(tmp_path, cfg)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "fast")]) == 5
+    slow_writer(monkeypatch, tmp_path / "pids")
     assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 5
-    # the march streams its levels out, so the snapshots written before the
-    # breach stay
+    # the march streams its levels out, so the snapshots handed to the writer
+    # before the breach stay, written whole before main returns, even by a
+    # slow writer
     assert [p.name for p in sorted((tmp_path / "o").glob("snapshot_*.csv"))] == [
         "snapshot_00000.csv"
     ]
+    written = (tmp_path / "o" / "snapshot_00000.csv").read_bytes()
+    assert written == (tmp_path / "fast" / "snapshot_00000.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the snapshot writer process
+# ---------------------------------------------------------------------------
+
+
+def slow_writer(monkeypatch, pid_file, delay=0.05):
+    """Make each CSV write wait ``delay`` seconds first and record the id of
+    the process that makes it in ``pid_file``."""
+    write_csv = cli._write_csv
+
+    def slow(*args):
+        time.sleep(delay)
+        with open(pid_file, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        write_csv(*args)
+
+    monkeypatch.setattr(cli, "_write_csv", slow)
+
+
+def writer_pids(pid_file):
+    return set(pid_file.read_text().split()) if pid_file.exists() else set()
+
+
+@pytest.mark.parametrize(
+    "make, expect",
+    [
+        (lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0, stride=3), 0),
+        (lambda: blowup_scenario_dict(), 4),
+        (lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 16), t_max=2.0), 5),
+        (lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0), 1),
+    ],
+    ids=["exit0", "exit4", "exit5", "exit1"],
+)
+def test_simulate_leaves_no_writer_process_or_thread(tmp_path, monkeypatch, make, expect):
+    # the snapshots are written by one other process, which main has joined
+    # on every exit path; exit 1 is a write failure, --out under a file
+    out_dir = tmp_path / "out"
+    if expect == 1:
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+    threads = threading.active_count()
+    slow_writer(monkeypatch, tmp_path / "pids", delay=0.01)
+    assert main(["simulate", str(write_scenario(tmp_path, make())), "--out", str(out_dir)]) == expect
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    pids = writer_pids(tmp_path / "pids")
+    assert len(pids) == 1 and str(os.getpid()) not in pids
+
+
+def test_simulate_write_failure_prints_one_error_line(tmp_path, capfd):
+    # the writer's OSError is raised again in main, which prints it once; the
+    # writer itself prints nothing (capfd sees the writer's own stderr)
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "out"
+    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0))
+    assert main(["simulate", str(path), "--out", str(out_dir)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: [Errno 20] Not a directory: '{out_dir}'"]
+
+
+def test_simulate_reports_a_writer_that_died(tmp_path, monkeypatch, capfd):
+    # a writer killed from outside (say, out of memory) answers nothing: one
+    # error line, exit 1, and nothing left running
+    monkeypatch.setattr(cli, "_write_csv", lambda *args: os._exit(9))
+    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: snapshot writer process ended with code 9"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("writer_levels", [1, cli.WRITER_LEVELS])
+def test_listed_snapshots_are_whole_when_main_returns(tmp_path, monkeypatch, writer_levels):
+    # 10 levels at stride 3: levels 0, 3, 6, 9 and the last level 10; with a
+    # writer slower than the march, main returns only after it wrote them all
+    cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0, stride=3)
+    path = write_scenario(tmp_path, cfg)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "fast")]) == 0
+    monkeypatch.setattr(cli, "WRITER_LEVELS", writer_levels)
+    slow_writer(monkeypatch, tmp_path / "pids")
+    assert main(["simulate", str(path), "--out", str(tmp_path / "slow")]) == 0
+    listed = json.loads((tmp_path / "slow" / "run_manifest.json").read_text())["snapshots"]
+    assert listed == [f"snapshot_{m:05d}.csv" for m in (0, 3, 6, 9, 10)]
+    assert sorted(p.name for p in (tmp_path / "slow").glob("snapshot_*.csv")) == listed
+    for name in listed:
+        assert (tmp_path / "slow" / name).read_bytes() == (tmp_path / "fast" / name).read_bytes()
+    assert str(os.getpid()) not in writer_pids(tmp_path / "pids")
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +791,17 @@ SHIPPED_VERDICTS = {
 
 
 @pytest.mark.parametrize("name", list(SHIPPED_VERDICTS))
-def test_shipped_scenarios_check_verdict_line(name, capsys):
-    # each at its own t_max; the ring verdicts are those of the full-window scan
-    code = main(["check", str(SCENARIO_DIR / f"{name}.json")])
-    lines = capsys.readouterr().out.splitlines()
+def test_shipped_scenarios_check_verdict_line(name, tmp_path):
+    # each at its own t_max; the ring verdicts are those of the full-window
+    # scan, and stdout with the log-argument CSV is the pinned output
+    code, out, _, pin = golden.run_pair("check", name, tmp_path / "out")
+    lines = out.splitlines()
     expect_code, verdict = SHIPPED_VERDICTS[name]
     assert code == expect_code
     assert f"existence criterion: {verdict}" in lines
     if name == "ori_blowup":
         assert "blow-up time estimate t* = 4.000000" in lines
+    assert pin == golden.pinned("check", name)
 
 
 def test_check_out_reaches_t_max_where_the_ratio_rounds_down(tmp_path):
@@ -708,26 +829,29 @@ SHIPPED_SIMULATE = {
 
 
 @pytest.mark.parametrize("name", list(SHIPPED_SIMULATE))
-def test_shipped_scenarios_simulate_outcome(name, tmp_path, capsys):
-    # each at its own step and t_max; ori_global (exit 5 after about 5 s) is
-    # left out
-    code = main(["simulate", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
-    lines = capsys.readouterr().out.splitlines()
+def test_shipped_scenarios_simulate_outcome(name, tmp_path):
+    # each at its own step and t_max; ori_global (exit 5 after about 5 s) has
+    # its own test below
+    code, out, _, pin = golden.run_pair("simulate", name, tmp_path / "out")
+    lines = out.splitlines()
     expect_code, last = SHIPPED_SIMULATE[name]
     assert code == expect_code
     if last is not None:
         assert lines[-1] == last
     else:
         assert not any("blow-up" in line for line in lines)
+    assert pin == golden.pinned("simulate", name)
 
 
 @pytest.mark.parametrize("name", list(SHIPPED_SIMULATE))
-def test_shipped_scenarios_speeds_outcome(name, tmp_path, capsys):
+def test_shipped_scenarios_speeds_outcome(name, tmp_path):
     # each at its own step and t_max; ori_global (t <= 50, 134 MB of
-    # output) is left out
-    code = main(["speeds", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
+    # output) has its own test below
+    out_dir = tmp_path / "out"
+    code, out, _, pin = golden.run_pair("speeds", name, out_dir)
     assert code == 0
-    assert capsys.readouterr().out.splitlines() == [f"wrote speed tables to {tmp_path}"]
+    assert out.splitlines() == [f"wrote speed tables to {out_dir}"]
+    assert pin == golden.pinned("speeds", name)
 
 
 # the outcome of compare on each shipped scenario, at its own step and t_max:
@@ -757,35 +881,42 @@ SHIPPED_COMPARE = {
 
 
 @pytest.mark.parametrize("name", list(SHIPPED_COMPARE))
-def test_shipped_scenarios_compare_outcome(name, tmp_path, capsys):
-    code = main(["compare", str(SCENARIO_DIR / f"{name}.json"), "--out", str(tmp_path)])
-    captured = capsys.readouterr()
+def test_shipped_scenarios_compare_outcome(name, tmp_path):
+    code, out, err, pin = golden.run_pair("compare", name, tmp_path / "out")
+    captured = SimpleNamespace(out=out, err=err)
     expect_code, stream, verdict = SHIPPED_COMPARE[name]
     assert code == expect_code
     assert getattr(captured, stream).splitlines()[-1] == verdict
     assert getattr(captured, "err" if stream == "out" else "out") == ""
+    assert pin == golden.pinned("compare", name)
 
 
-def test_shipped_ori_global_simulate_exits_5(tmp_path, capsys):
-    code = main(["simulate", str(SCENARIO_DIR / "ori_global.json"), "--out", str(tmp_path)])
-    captured = capsys.readouterr()
+def test_shipped_ori_global_simulate_exits_5(tmp_path):
+    code, out, err, pin = golden.run_pair("simulate", "ori_global", tmp_path / "out")
     assert code == 5
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
+    assert out == ""
+    assert err.splitlines() == [
         "consistency error: one-form/derivative consistency breached at t=3.16776 "
         "(residual 1.022e-03) and the run stayed bounded"
     ]
+    assert pin == golden.pinned("simulate", "ori_global")
 
 
-def test_shipped_ori_global_speeds_exits_0(tmp_path, capsys):
+def test_shipped_ori_global_speeds_exits_0(tmp_path):
+    # run_pair removes the output once digested: the field file is about 130 MB
     out_dir = tmp_path / "speeds"
-    try:
-        code = main(["speeds", str(SCENARIO_DIR / "ori_global.json"), "--out", str(out_dir)])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines() == [f"wrote speed tables to {out_dir}"]
-    finally:  # the field file is about 130 MB
-        for path in out_dir.glob("*.csv"):
-            path.unlink()
+    code, out, _, pin = golden.run_pair("speeds", "ori_global", out_dir)
+    assert code == 0
+    assert out.splitlines() == [f"wrote speed tables to {out_dir}"]
+    assert pin == golden.pinned("speeds", "ori_global")
+
+
+def test_golden_outputs_pin_every_shipped_pair():
+    # the pin tests above run each of these pairs once and compare its pin
+    pins = json.loads(golden.GOLDEN_PATH.read_text())
+    assert set(pins) == {f"{c} {n}" for c in golden.COMMANDS for n in golden.SCENARIOS}
+    assert set(SHIPPED_VERDICTS) == set(SHIPPED_COMPARE) == set(golden.SCENARIOS)
+    assert set(SHIPPED_SIMULATE) == set(golden.SCENARIOS) - {"ori_global"}
 
 
 # ---------------------------------------------------------------------------
