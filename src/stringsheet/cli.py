@@ -111,6 +111,11 @@ def _closed_form(model, data, cmap, scenario):
 def cmd_check(scenario: Scenario, out_dir: Path) -> int:
     model, data = _prepare(scenario)
     report = worldsheet.check_physicality(data)
+    closed = report.ok and isinstance(model, OriGeneral)
+    if closed:
+        cmap = transport.build_theta0(data)
+        cf = _closed_form(model, data, cmap, scenario)
+        cf.scan_grid(scenario.t_max)  # refuses an over-limit scan before any output
     print(f"metric model       : {model.name}")
     print(f"nodes              : {len(data.theta)}")
     print(f"pointwise ordering : {'PASS' if report.pointwise_ok else 'FAIL'}")
@@ -128,11 +133,9 @@ def cmd_check(scenario: Scenario, out_dir: Path) -> int:
                 f"lam-(theta1)={lm:.6g} >= lam+(theta2)={lp:.6g}"
             )
         return EXIT_PHYSICALITY
-    if not isinstance(model, OriGeneral):
+    if not closed:
         print("existence criterion: not applicable (flat model)")
         return EXIT_OK
-    cmap = transport.build_theta0(data)
-    cf = _closed_form(model, data, cmap, scenario)
     verdict = cf.existence_check(scenario.t_max)
     flags = cf.corollary_flags(scenario.thresholds.l1_threshold)
     print(f"existence criterion: {verdict.describe()}")
@@ -303,7 +306,7 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
     if _speed_ordering_violation(cmap, grid) is not None:
         return EXIT_PHYSICALITY
-    stride = max(1, scenario.snapshot_stride)
+    stride = scenario.snapshot_stride
     snapshots, last = [], []
     width = 3 * len(grid.vtheta) * model.dim
     # the writer forks here, with the model, grid and map the levels need

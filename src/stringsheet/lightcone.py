@@ -320,7 +320,7 @@ def march(grid: LightconeGrid, init, rhs_at: Callable):
 
 def relative_null_residuals(model: MetricModel, u, p, q):
     """Per-node |g(p,p)| and |g(q,q)| scaled by the metric and field size."""
-    gp, gq, gscale = model.null_forms(u, p, q)
+    (gp, gq), gscale = model.forms(u, ((p, p), (q, q)))
     denom_p = np.maximum(1.0, gscale * np.einsum("...a,...a->...", p, p))
     denom_q = np.maximum(1.0, gscale * np.einsum("...a,...a->...", q, q))
     return np.abs(gp) / denom_p, np.abs(gq) / denom_q

@@ -1,10 +1,10 @@
 """Lorentzian metric backends.
 
-Every model evaluates the ambient metric g_AB at a space-time point and
-the contraction Gamma^C_AB p^A q^B of its connection coefficients, the
-source of the light-cone system.  For the four dimensional plane-fronted
-family the coordinate ordering is fixed as (t, x, y, z) <-> indices
-(0, 1, 2, 3), and the line element is
+Every model evaluates the bilinear forms g_u(v, w) of the ambient metric at
+space-time points u, and the contraction Gamma^C_AB p^A q^B of its
+connection coefficients, the source of the light-cone system.  For the
+four dimensional plane-fronted family the coordinate ordering is fixed as
+(t, x, y, z) <-> indices (0, 1, 2, 3), and the line element is
 
     ds^2 = dx^2 + dy^2 - 2 dz dt + (f(x, y, z) - t) dz^2
 
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError
 
 __all__ = [
     "MetricModel",
@@ -28,23 +28,16 @@ __all__ = [
 ]
 
 
-def _as_points(points, dim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0 or pts.shape[-1] != dim:
-        raise DimensionMismatch(
-            f"expected points with {dim} components, got shape {pts.shape}"
-        )
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("space-time point has non-finite coordinates")
-    return pts
-
-
 class MetricModel:
-    """Shared interface: ``metric(points)``, the metric g_AB;
-    ``null_forms(u, p, q)``, g(p, p), g(q, q) and max |g_ab| at u; and
+    """Shared interface: ``forms(u, pairs)``, the list of g_u(v, w) for each
+    (v, w) in ``pairs`` with the scale max(1, max |g_ab(u)|); and
     ``contract_pq(u, p, q)``, Gamma^C_AB(u) p^A q^B, the source of the
-    light-cone system.  The last two check nothing: the march calls them on
-    fields it has already checked."""
+    light-cone system.  Neither checks its arguments: callers pass fields
+    they have already checked.
+
+    Each form starts from +0.0 and adds the nonzero terms g_ab v^a w^b in
+    (a, b) order, as ``einsum`` sums the full contraction, so the two agree
+    to the bit, signed zeros included."""
 
     dim: int
     name: str
@@ -61,20 +54,12 @@ class Minkowski(MetricModel):
             raise ConfigError(f"'spatial_dim' must be nonnegative, got {spatial_dim}")
         self.dim = spatial_dim + 1
         self.name = f"minkowski({spatial_dim})"
-        eta = np.eye(self.dim)
-        eta[0, 0] = -1.0
-        self._eta = eta
 
-    def metric(self, points) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        shape = pts.shape[:-1] + (self.dim, self.dim)
-        return np.broadcast_to(self._eta, shape).copy()
-
-    def null_forms(self, u, p, q):
-        # in the order einsum adds g_ab v^a v^b, so bitwise the same sum
-        gp, gq = (sum((v[..., c] ** 2 for c in range(1, self.dim)), -v[..., 0] ** 2)
-                  for v in (p, q))
-        return gp, gq, 1.0
+    def forms(self, u, pairs):
+        return [
+            sum((v[..., c] * w[..., c] for c in range(1, self.dim)), 0.0 - v[..., 0] * w[..., 0])
+            for v, w in pairs
+        ], 1.0
 
     def contract_pq(self, u, p, q) -> np.ndarray:
         return np.zeros_like(np.asarray(p, dtype=float))
@@ -84,9 +69,9 @@ class OriGeneral(MetricModel):
     """Plane-fronted vacuum family with a user supplied harmonic profile.
 
     The profile and its three partial derivatives are supplied as callbacks
-    f(x, y, z), f_x(x, y, z), f_y(x, y, z), f_z(x, y, z); harmonicity is only
-    spot-checked (see ``harmonic_residual``), it is a precondition of the
-    family, not something enforceable pointwise at runtime.
+    f(x, y, z), f_x(x, y, z), f_y(x, y, z), f_z(x, y, z).  Harmonicity is a
+    precondition of the family, not something enforceable pointwise at
+    runtime; the test suite checks it for every registry profile.
     """
 
     dim = 4
@@ -105,24 +90,14 @@ class OriGeneral(MetricModel):
         self.f_z = f_z
         self.name = name
 
-    def metric(self, points) -> np.ndarray:
-        pts = _as_points(points, 4)
-        t, x, y, z = (pts[..., c] for c in range(4))
-        f = self.f(x, y, z) + np.zeros_like(x)
-        g = np.zeros(pts.shape[:-1] + (4, 4))
-        g[..., 1, 1] = 1.0
-        g[..., 2, 2] = 1.0
-        g[..., 0, 3] = -1.0
-        g[..., 3, 0] = -1.0
-        g[..., 3, 3] = f - t
-        return g
-
-    def null_forms(self, u, p, q):
+    def forms(self, u, pairs):
         t, x, y, z = (u[..., c] for c in range(4))
         g33 = self.f(x, y, z) - t
-        gp, gq = (-v[..., 0] * v[..., 3] + v[..., 1] ** 2 + v[..., 2] ** 2 - v[..., 3] * v[..., 0]
-                  + g33 * v[..., 3] * v[..., 3] for v in (p, q))  # in einsum's order
-        return gp, gq, np.maximum(1.0, np.abs(g33))
+        return [
+            0.0 - v[..., 0] * w[..., 3] + v[..., 1] * w[..., 1] + v[..., 2] * w[..., 2]
+            - v[..., 3] * w[..., 0] + g33 * v[..., 3] * w[..., 3]
+            for v, w in pairs
+        ], np.maximum(1.0, np.abs(g33))
 
     def contract_pq(self, u, p, q) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -143,17 +118,6 @@ class OriGeneral(MetricModel):
         out[..., 2] = -0.5 * fy * pq33
         out[..., 3] = -0.5 * pq33
         return out
-
-    def harmonic_residual(self, points) -> float:
-        """Max |f_xx + f_yy| over probe points, by central differences of
-        step 1e-4."""
-        step = 1e-4
-        pts = _as_points(points, 4)
-        pts = pts.reshape(-1, 4)
-        x, y, z = pts[:, 1], pts[:, 2], pts[:, 3]
-        fxx = (self.f(x + step, y, z) - 2.0 * self.f(x, y, z) + self.f(x - step, y, z))
-        fyy = (self.f(x, y + step, z) - 2.0 * self.f(x, y, z) + self.f(x, y - step, z))
-        return float(np.max(np.abs((fxx + fyy) / step**2)))
 
 
 class OriQuadratic(OriGeneral):

@@ -242,10 +242,7 @@ def build_initial_data(
             )
 
     phi_theta = fourth_order_derivative(phi, spacing, period is not None)
-    g = model.metric(phi)
-    g00 = np.einsum("nab,na,nb->n", g, psi, psi)
-    g01 = np.einsum("nab,na,nb->n", g, psi, phi_theta)
-    g11 = np.einsum("nab,na,nb->n", g, phi_theta, phi_theta)
+    (g00, g01, g11), _ = model.forms(phi, ((psi, psi), (psi, phi_theta), (phi_theta, phi_theta)))
     density = g00 * g11 - g01 * g01
     scale = np.maximum.reduce([np.abs(g00), np.abs(g01), np.abs(g11)])
     scale = np.maximum(scale, 1.0)

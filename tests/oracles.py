@@ -10,8 +10,9 @@ check:
 * the global speed-ordering sweep as one loop over the nodes, and the
   ordering of the transported speeds over a whole product lattice at once;
 * the metric models' connection coefficients and metric partials, with a
-  finite-difference oracle built from ``metric`` alone, and the relative
-  null residuals contracted with the full metric tensor;
+  finite-difference oracle built from the metric tensor alone, the metric
+  tensor itself written from the line element, and the relative null
+  residuals contracted with it;
 * transport: a coordinate map built directly from straightened speed
   profiles, the midpoint march of the inverse map, the
   conservation-identity residual, and RK4 tracing of characteristics in
@@ -21,6 +22,7 @@ check:
   Gauss-Legendre quadrature over the spline knots, and the existence scan
   that read its lattice one level per iteration.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +77,7 @@ class NullPair:
 
 
 def induced_metric(model, state: StateVector) -> InducedMetric:
-    g = model.metric(state.u)
+    g = metric_tensor(model, state.u)
     g00 = float(state.v @ g @ state.v)
     g01 = float(state.v @ g @ state.w)
     g11 = float(state.w @ g @ state.w)
@@ -163,7 +165,7 @@ def speed_gradients(model, state: StateVector, im: InducedMetric):
     disc = im.g01 * im.g01 - im.g00 * im.g11
     if disc <= 0.0 or np.sqrt(disc) < DEFAULT_THRESHOLDS.eps_timelike * im.scale:
         raise DegeneracyError("coincident speeds, gradient undefined")
-    g = model.metric(state.u)
+    g = metric_tensor(model, state.u)
     dg = metric_partials(model, state.u)
     gv = g @ state.v
     gw = g @ state.w
@@ -202,7 +204,7 @@ def linear_degeneracy_residuals_fd(model, state: StateVector, step: float = 1e-6
     dim = len(state.u)
 
     def speeds_of(v, w):
-        g = model.metric(state.u)
+        g = metric_tensor(model, state.u)
         g00 = float(v @ g @ v)
         g01 = float(v @ g @ w)
         g11 = float(w @ g @ w)
@@ -291,10 +293,25 @@ def _profile(model, pts):
     return tuple(g(x, y, z) + zero for g in (model.f, model.f_x, model.f_y, model.f_z))
 
 
+def metric_tensor(model, points) -> np.ndarray:
+    """g[..., a, b] at the points, written from the line element: diag(-1, 1,
+    ..., 1) for a flat model, and dx^2 + dy^2 - 2 dz dt + (f - t) dz^2 for an
+    ``OriGeneral``."""
+    pts = np.asarray(points, dtype=float)
+    g = np.zeros(pts.shape[:-1] + (model.dim, model.dim))
+    if not isinstance(model, OriGeneral):
+        g[...] = np.diag([-1.0] + [1.0] * (model.dim - 1))
+        return g
+    g[..., 1, 1] = g[..., 2, 2] = 1.0
+    g[..., 0, 3] = g[..., 3, 0] = -1.0
+    g[..., 3, 3] = _profile(model, pts)[0] - pts[..., 0]
+    return g
+
+
 def einsum_null_residuals(model, u, p, q):
     """``lightcone.relative_null_residuals`` from the full metric tensor:
     |g_ab v^a v^b| / max(1, max |g_ab| |v|^2) for v = p and v = q."""
-    g = model.metric(u)
+    g = metric_tensor(model, u)
     gp = np.einsum("...ab,...a,...b->...", g, p, p)
     gq = np.einsum("...ab,...a,...b->...", g, q, q)
     gscale = np.max(np.abs(g), axis=(-2, -1))
@@ -346,12 +363,12 @@ def lorentzian_signature_ok(g: np.ndarray) -> bool:
     return int(np.sum(eig < 0.0)) == 1 and not np.any(eig == 0.0)
 
 
-def finite_difference_christoffels(model, point, step: float) -> np.ndarray:
+def finite_difference_christoffels(metric, point, step: float) -> np.ndarray:
     """Connection coefficients from the standard metric-derivative formula,
-    with central differences of ``model.metric``."""
-    dim = model.dim
-    pt = np.asarray(point, dtype=float).reshape(dim)
-    g = model.metric(pt)
+    with central differences of ``metric``, a function of the points."""
+    pt = np.asarray(point, dtype=float).ravel()
+    dim = len(pt)
+    g = metric(pt)
     det = np.linalg.det(g)
     if abs(det) < 1e-13:
         raise DegeneracyError(f"metric is singular at {pt} (det={det:.3e})")
@@ -360,7 +377,7 @@ def finite_difference_christoffels(model, point, step: float) -> np.ndarray:
     for a in range(dim):
         e = np.zeros(dim)
         e[a] = step
-        dg[a] = (model.metric(pt + e) - model.metric(pt - e)) / (2.0 * step)
+        dg[a] = (metric(pt + e) - metric(pt - e)) / (2.0 * step)
     # dg[c, a, b] = d_c g_ab; bracket[d, a, b] = d_a g_db + d_b g_da - d_d g_ab
     bracket = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
     return 0.5 * np.einsum("cd,dab->cab", ginv, bracket)
@@ -370,7 +387,7 @@ def verify_christoffels_numerically(model, point, step: float = 1e-4) -> float:
     """Max absolute difference between analytic and finite-difference
     connection coefficients; O(step^2) for smooth profiles."""
     analytic = christoffels(model, point)
-    numeric = finite_difference_christoffels(model, point, step)
+    numeric = finite_difference_christoffels(functools.partial(metric_tensor, model), point, step)
     return float(np.max(np.abs(analytic - numeric)))
 
 

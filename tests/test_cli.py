@@ -99,6 +99,12 @@ MALFORMED_SMOOTH = {
     "a": (("metric", "a"), "x"),
     "snapshot_stride": (("output", "snapshot_stride"), "x"),
     "levels": (("compare", "levels"), "three"),
+    # whole numbers are neither truncated nor clamped: stride >= 1, levels >= 1
+    "snapshot_stride-0": (("output", "snapshot_stride"), 0),
+    "snapshot_stride-negative": (("output", "snapshot_stride"), -4),
+    "snapshot_stride-fraction": (("output", "snapshot_stride"), 2.5),
+    "levels-0": (("compare", "levels"), 0),
+    "levels-fraction": (("compare", "levels"), 1.5),
     # a family spec that is not an object; the error names phi[0], psi[2]
     "phi-spec": (("initial_data", "phi", 0), 1),
     "psi-spec": (("initial_data", "psi", 2), "sine"),
@@ -150,14 +156,17 @@ def test_check_refuses_a_scan_lattice_over_the_limit(monkeypatch, capsys):
     path = SCENARIO_DIR / "ori_global.json"
     scenario.check_size(scenario.load_scenario(path))
     code = main(["check", str(path)])
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert code == 1
+    assert captured.out == ""
     assert len(lines) == 1
     assert lines[0].startswith("error: a lattice of 628 nodes x 11303 levels at step 0.00442362")
 
 
-def test_negative_spatial_dimension_exits_1_with_one_error_line(tmp_path, capsys):
-    cfg = set_at(shipped_dict("minkowski_wave"), ("metric", "spatial_dim"), -1)
+@pytest.mark.parametrize("value", [-1, 2.5])
+def test_negative_spatial_dimension_exits_1_with_one_error_line(value, tmp_path, capsys):
+    cfg = set_at(shipped_dict("minkowski_wave"), ("metric", "spatial_dim"), value)
     code = main(["check", str(write_scenario(tmp_path, cfg))])
     assert_one_error_line(code, capsys.readouterr(), "spatial_dim")
 

@@ -400,7 +400,7 @@ def test_field_overflow_of_a_nonfinite_field_reports_inf():
     # a NaN right-hand side makes every field of level 1 non-finite
     class NaNRhs:
         def __init__(self, model):
-            self.null_forms = model.null_forms
+            self.forms = model.forms
 
         def contract_pq(self, u, p, q):
             return np.full_like(p, np.nan)

@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +14,7 @@ from oracles import (
     einsum_null_residuals,
     finite_difference_christoffels,
     lorentzian_signature_ok,
+    metric_tensor,
     verify_christoffels_numerically,
 )
 from stringsheet import (
@@ -18,22 +23,27 @@ from stringsheet import (
     Minkowski,
     OriGeneral,
     OriQuadratic,
+    build_initial_data,
 )
+from stringsheet.cli import EXIT_OK, main
 from stringsheet.lightcone import relative_null_residuals
+from stringsheet.scenario import PROFILE_REGISTRY, build_model, scenario_from_dict
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 
 
 def test_minkowski_metric_any_point():
     model = Minkowski(3)
-    g = model.metric(np.array([4.2, -1.0, 0.3, 9.9]))
+    g = metric_tensor(model, np.array([4.2, -1.0, 0.3, 9.9]))
     assert np.array_equal(g, np.diag([-1.0, 1.0, 1.0, 1.0]))
     assert np.all(christoffels(model, np.zeros(4)) == 0.0)
 
 
 def test_ori_metric_matches_line_element():
     # ds^2 = dx^2 + dy^2 - 2 dz dt + (f - t) dz^2 with f = a(x^2 - y^2)
-    g = OriQuadratic(1.0).metric(np.array([0.0, 1.0, 0.0, 0.0]))
+    g = metric_tensor(OriQuadratic(1.0), np.array([0.0, 1.0, 0.0, 0.0]))
     expect = np.zeros((4, 4))
     expect[1, 1] = expect[2, 2] = 1.0
     expect[0, 3] = expect[3, 0] = -1.0
@@ -42,7 +52,7 @@ def test_ori_metric_matches_line_element():
 
 
 def test_ori_metric_g33_by_substitution():
-    g = OriQuadratic(2.0).metric(np.array([3.0, 1.0, 1.0, 5.0]))
+    g = metric_tensor(OriQuadratic(2.0), np.array([3.0, 1.0, 1.0, 5.0]))
     assert g[3, 3] == 2.0 * (1.0 - 1.0) - 3.0 == -3.0
     assert g[0, 3] == -1.0
 
@@ -50,7 +60,7 @@ def test_ori_metric_g33_by_substitution():
 @given(t=coord, x=coord, y=coord, z=coord, a=st.floats(0.1, 2.0))
 def test_metric_invariants(t, x, y, z, a):
     for model in (Minkowski(3), OriQuadratic(a)):
-        g = model.metric(np.array([t, x, y, z]))
+        g = metric_tensor(model, np.array([t, x, y, z]))
         assert np.array_equal(g, g.T)
         assert abs(np.linalg.det(g)) > 1e-12
         assert lorentzian_signature_ok(g)
@@ -117,7 +127,7 @@ def test_general_profile_matches_quadratic(rng):
     )
     quadratic = OriQuadratic(a)
     pts = rng.uniform(-2.0, 2.0, size=(100, 4))
-    assert np.allclose(general.metric(pts), quadratic.metric(pts), atol=0.0)
+    assert np.allclose(metric_tensor(general, pts), metric_tensor(quadratic, pts), atol=0.0)
     assert np.allclose(christoffels(general, pts), christoffels(quadratic, pts), atol=0.0)
 
 
@@ -158,34 +168,60 @@ def test_fd_oracle_rejects_singular_metric():
         f_z=lambda x, y, z: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
-    class Broken(OriGeneral):
-        def metric(self, points):
-            g = super().metric(points)
-            g[..., 0, 3] = 0.0
-            g[..., 3, 0] = 0.0
-            return g
+    def broken(points):
+        g = metric_tensor(degenerate, points)
+        g[..., 0, 3] = 0.0
+        g[..., 3, 0] = 0.0
+        return g
 
-    broken = Broken(degenerate.f, degenerate.f_x, degenerate.f_y, degenerate.f_z)
     with pytest.raises(DegeneracyError):
         finite_difference_christoffels(broken, np.zeros(4), 1e-4)
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        Minkowski(3).metric(np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        OriQuadratic(1.0).metric(np.zeros(5))
+    theta = np.linspace(0.0, 1.0, 8)
+    for model, dim in ((Minkowski(3), 3), (OriQuadratic(1.0), 5)):
+        with pytest.raises(DimensionMismatch):
+            build_initial_data(model, theta, np.zeros((8, dim)), np.zeros((8, dim)), None)
 
 
-def test_harmonic_residual():
-    assert harmonic_xy_model().harmonic_residual(np.zeros((1, 4))) < 1e-8
-    bad = OriGeneral(
-        f=lambda x, y, z: x * x + y * y,  # not harmonic
-        f_x=lambda x, y, z: 2 * x,
-        f_y=lambda x, y, z: 2 * y,
-        f_z=lambda x, y, z: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    assert bad.harmonic_residual(np.zeros((1, 4))) > 1.0
+# each registry profile at several parameter sets, in the registry's order
+PROFILE_PARAMETERS = [
+    ("xy", {"c": 0.5}),
+    ("xy", {"c": -1.3}),
+    ("linear", {"cx": 0.3, "cy": -0.2, "cz": 0.1}),
+    ("linear", {"cx": 1.0, "cy": 2.0, "cz": -0.5}),
+    ("linear", {}),
+]
+
+
+def test_profile_parameters_cover_the_registry():
+    assert {name for name, _ in PROFILE_PARAMETERS} == set(PROFILE_REGISTRY)
+
+
+@pytest.mark.parametrize("name, params", PROFILE_PARAMETERS)
+def test_registry_profiles_are_harmonic_and_checkable(name, params, rng, tmp_path, capsys):
+    # harmonicity is a precondition of the plane-fronted family: the registry
+    # profiles hold it for every parameter value, so nothing probes it at run time
+    cfg = json.loads((SCENARIO_DIR / "ori_smooth.json").read_text())
+    cfg["metric"] = {"model": "ori_general", "profile": name, **params}
+    model = build_model(scenario_from_dict(cfg))
+    assert type(model) is OriGeneral and model.name == f"ori_general({name})"
+    x, y, z = rng.uniform(-2.0, 2.0, size=(3, 50))
+    f = model.f
+    step = 1e-3
+    laplacian = (f(x + step, y, z) + f(x - step, y, z) + f(x, y + step, z) + f(x, y - step, z)
+                 - 4.0 * f(x, y, z)) / step**2
+    assert np.max(np.abs(laplacian)) < 1e-6
+    for partial, e in zip((model.f_x, model.f_y, model.f_z), np.eye(3) * step):
+        central = (f(x + e[0], y + e[1], z + e[2]) - f(x - e[0], y - e[1], z - e[2])) / (2.0 * step)
+        assert np.allclose(partial(x, y, z), central, rtol=0.0, atol=1e-9)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"metric model       : ori_general({name})"
+    assert any(line.startswith("existence criterion: PASS") for line in out)
 
 
 def z_dependent_model():
@@ -222,9 +258,25 @@ def test_relative_null_residuals_match_the_metric_contraction(model, batch, data
 
 def test_null_forms_are_the_line_element():
     # ds^2 = dx^2 + dy^2 - 2 dz dt + (f - t) dz^2 at f - t = -3
-    gp, gq, scale = OriQuadratic(2.0).null_forms(
-        np.array([3.0, 1.0, 1.0, 5.0]), np.array([1.0, 2.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 2.0])
-    )
+    p, q = np.array([1.0, 2.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 2.0])
+    (gp, gq, gpq), scale = OriQuadratic(2.0).forms(np.array([3.0, 1.0, 1.0, 5.0]), ((p, p), (q, q), (p, q)))
     assert (gp, gq, scale) == (4.0 - 2.0 - 3.0, 1.0 - 12.0, 3.0)
-    gp, gq, scale = Minkowski(3).null_forms(np.zeros(4), np.array([2.0, 1.0, 1.0, 1.0]), np.ones(4))
+    assert gpq == -2.0 - 3.0 * 2.0
+    p, q = np.array([2.0, 1.0, 1.0, 1.0]), np.ones(4)
+    (gp, gq), scale = Minkowski(3).forms(np.zeros(4), ((p, p), (q, q)))
     assert (gp, gq, scale) == (-1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "model, w",
+    [(Minkowski(3), [1.0, -1.0, -1.0, -1.0]), (OriQuadratic(1.3), [1.0, -1.0, -1.0, 1.0])],
+    ids=["minkowski", "ori_quadratic"],
+)
+def test_forms_of_zero_products_are_positive_zero(model, w):
+    # every product g_ab v^a w^b is -0.0 or +0.0 (g33 = f - t < 0); einsum sums
+    # them from +0.0, and the speed roots take the sign of g01 by copysign
+    u, v, w = np.array([5.0, 0.0, 0.0, 0.0]), np.zeros(4), np.array(w)
+    (g01,), _ = model.forms(u, ((v, w),))
+    expect = np.einsum("ab,a,b->", metric_tensor(model, u), v, w)
+    assert g01 == expect == 0.0
+    assert math.copysign(1.0, g01) == math.copysign(1.0, expect) == 1.0
