@@ -1,15 +1,18 @@
 """Scenario-driven command line front end.
 
 Commands
-  check     physicality checks and, for the plane-fronted models, the
-            global-existence criterion with its sufficient-condition flags
+  check     the speed-ordering verdict and, for the plane-fronted models,
+            the global-existence criterion with its sufficient-condition flags
   simulate  full pipeline to CSV snapshots plus a run manifest
   compare   cross-validate the staged/closed-form solution against the
             general solver over a refinement ladder
   speeds    emit the initial speed functionals and transported speed fields
 
-Exit codes: 0 success, 1 parse or I/O error, 2 physicality violation,
-3 existence criterion fails, 4 blow-up, 5 numerical-consistency error.
+Exit codes: 0 success, 1 parse or I/O error, 2 physicality violation
+(data that are not timelike or are degenerate, or lam- >= lam+ at a
+lattice point with t <= t_max), 3 existence criterion fails, 4 blow-up,
+5 numerical-consistency error.  Every command decides the speed ordering
+by one lattice scan, in ``_prepare``.
 """
 from __future__ import annotations
 
@@ -37,9 +40,10 @@ from .errors import (
     NumericalConsistencyError,
     StringSheetError,
 )
-from .metrics import OriGeneral
+from .metrics import OriGeneral, OriQuadratic
 from .scenario import (
     Scenario,
+    _positive,
     build_domain,
     build_initial_arrays,
     build_model,
@@ -90,7 +94,34 @@ def _write_manifest(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _speed_ordering_violation(cmap, grid):
+    """The first (t, vartheta, lam-, lam+), level by level and node by node,
+    where the transported speeds Lam+(xi) and Lam-(eta) lose their order,
+    tested on one sample of each per lattice index; printed, or None.  The
+    pair is evaluated at the lattice point, as solve_riemann_invariants."""
+    nodes, levels = len(grid.vtheta), grid.n_levels
+    x = grid.vtheta[0] + grid.step * np.arange(-levels, nodes + levels)
+    speeds = lightcone.CharacteristicTable(
+        grid, cmap.lam_plus_bar(x[levels:]), cmap.lam_minus_bar(x[: nodes + levels]), 0, -levels
+    )
+    for batch, crossed, _ in speeds.level_blocks(np.less_equal, False):
+        if crossed.any():
+            r, j = divmod(int(np.argmax(crossed)), nodes)
+            t, v = float(grid.t_nodes[batch[r]]), float(grid.vtheta[j])
+            print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
+            return t, v, float(cmap.lam_minus_bar([v - t])[0]), float(cmap.lam_plus_bar([v + t])[0])
+    return None
+
+
+class _OrderingBreak(Exception):
+    """The transported speeds lose their order on the lattice (exit 2); the
+    line that says where is already printed."""
+
+
 def _prepare(scenario: Scenario):
+    """The model, initial data, straightening map and lattice of a scenario,
+    after the one speed-ordering verdict: ``_OrderingBreak`` if lam- >= lam+
+    at a lattice point with t <= t_max."""
     model = build_model(scenario)
     period = build_domain(scenario)
     theta = build_theta_grid(scenario)
@@ -98,7 +129,11 @@ def _prepare(scenario: Scenario):
     data = worldsheet.build_initial_data(
         model, theta, phi, psi, period, thresholds=scenario.thresholds
     )
-    return model, data
+    cmap = transport.build_theta0(data)
+    grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
+    if _speed_ordering_violation(cmap, grid) is not None:
+        raise _OrderingBreak
+    return model, data, cmap, grid
 
 
 def _closed_form(model, data, cmap, scenario):
@@ -109,30 +144,14 @@ def _closed_form(model, data, cmap, scenario):
 
 
 def cmd_check(scenario: Scenario, out_dir: Path) -> int:
-    model, data = _prepare(scenario)
-    report = worldsheet.check_physicality(data)
-    closed = report.ok and isinstance(model, OriGeneral)
+    model, data, cmap, _ = _prepare(scenario)
+    closed = isinstance(model, OriGeneral)
     if closed:
-        cmap = transport.build_theta0(data)
         cf = _closed_form(model, data, cmap, scenario)
         cf.scan_grid(scenario.t_max)  # refuses an over-limit scan before any output
     print(f"metric model       : {model.name}")
     print(f"nodes              : {len(data.theta)}")
-    print(f"pointwise ordering : {'PASS' if report.pointwise_ok else 'FAIL'}")
-    print(f"global ordering    : {'PASS' if report.global_ok else 'FAIL'}")
-    if report.note:
-        print(f"note               : {report.note}")
-    if not report.ok:
-        if report.pointwise_violation:
-            th, lm, lp = report.pointwise_violation
-            print(f"first pointwise violation: theta={th:.6g} lam-={lm:.6g} lam+={lp:.6g}")
-        if report.global_violation:
-            t1, t2, lm, lp = report.global_violation
-            print(
-                f"first ordered-pair violation: theta1={t1:.6g} theta2={t2:.6g} "
-                f"lam-(theta1)={lm:.6g} >= lam+(theta2)={lp:.6g}"
-            )
-        return EXIT_PHYSICALITY
+    print(f"speed ordering     : PASS for t <= {scenario.t_max:.6g}")
     if not closed:
         print("existence criterion: not applicable (flat model)")
         return EXIT_OK
@@ -265,25 +284,6 @@ class _SnapshotProcess:
             self.answers.close()
 
 
-def _speed_ordering_violation(cmap, grid):
-    """The first (t, vartheta, lam-, lam+), level by level and node by node,
-    where the transported speeds Lam+(xi) and Lam-(eta) lose their order,
-    tested on one sample of each per lattice index; printed, or None.  The
-    pair is evaluated at the lattice point, as solve_riemann_invariants."""
-    nodes, levels = len(grid.vtheta), grid.n_levels
-    x = grid.vtheta[0] + grid.step * np.arange(-levels, nodes + levels)
-    speeds = lightcone.CharacteristicTable(
-        grid, cmap.lam_plus_bar(x[levels:]), cmap.lam_minus_bar(x[: nodes + levels]), 0, -levels
-    )
-    for batch, crossed, _ in speeds.level_blocks(np.less_equal, False):
-        if crossed.any():
-            r, j = divmod(int(np.argmax(crossed)), nodes)
-            t, v = float(grid.t_nodes[batch[r]]), float(grid.vtheta[j])
-            print(f"speed ordering breaks at t={t:.6g}, vartheta={v:.6g}")
-            return t, v, float(cmap.lam_minus_bar([v - t])[0]), float(cmap.lam_plus_bar([v + t])[0])
-    return None
-
-
 def _speed_blocks(cmap, grid):
     """(t, vartheta, theta, lam-, lam+) columns in level batches, all but
     theta as text."""
@@ -297,15 +297,7 @@ def _speed_blocks(cmap, grid):
 
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     started = time.perf_counter()
-    model, data = _prepare(scenario)
-    report = worldsheet.check_physicality(data)
-    if not report.ok:
-        print("physicality violation; run `check` for details")
-        return EXIT_PHYSICALITY
-    cmap = transport.build_theta0(data)
-    grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
-    if _speed_ordering_violation(cmap, grid) is not None:
-        return EXIT_PHYSICALITY
+    model, data, cmap, grid = _prepare(scenario)
     stride = scenario.snapshot_stride
     snapshots, last = [], []
     width = 3 * len(grid.vtheta) * model.dim
@@ -353,17 +345,14 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
-    model, _ = _prepare(scenario)
-    if not isinstance(model, OriGeneral) or getattr(model, "a", None) is None:
+    if not isinstance(build_model(scenario), OriQuadratic):
         print("compare requires the quadratic plane-fronted model")
         return EXIT_PARSE
-    steps = [scenario.step * 2.0**k for k in reversed(range(scenario.compare_levels))]
+    steps = scenario.compare_steps
     errors = {c: [] for c in range(4)}
     for h in steps:
         sub = replace(scenario, grid={"h": h, "t_max": scenario.t_max})
-        model, data = _prepare(sub)
-        cmap = transport.build_theta0(data)
-        grid = lightcone.build_grid(cmap, h, sub.t_max)
+        model, data, cmap, grid = _prepare(sub)
         staged = ori.staged_solution(_closed_form(model, data, cmap, sub), data, cmap, grid)
         worst = np.full(4, np.nan)  # fmax skips NaN, like nanmax
         staged_error = []
@@ -409,16 +398,12 @@ def cmd_compare(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_speeds(scenario: Scenario, out_dir: Path) -> int:
-    _, data = _prepare(scenario)
+    _, data, cmap, grid = _prepare(scenario)
     _write_csv(
         out_dir / "initial_speeds.csv",
         ["theta", "lambda_minus", "lambda_plus", "lagrangian_density"],
         [[data.theta, data.lam_minus, data.lam_plus, data.lagrangian_density]],
     )
-    cmap = transport.build_theta0(data)
-    grid = lightcone.build_grid(cmap, scenario.step, scenario.t_max)
-    if _speed_ordering_violation(cmap, grid) is not None:
-        return EXIT_PHYSICALITY
     header = ["t", "vartheta", "theta", "lambda_minus", "lambda_plus"]
     _write_csv(out_dir / "speeds_field.csv", header, _speed_blocks(cmap, grid))
     print(f"wrote speed tables to {out_dir}")
@@ -459,13 +444,9 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.grid_override is not None:
-            if args.grid_override <= 0.0:
-                raise ConfigError("--grid-override must be positive")
-            scenario.grid["h"] = float(args.grid_override)
+            scenario.grid["h"] = _positive(args.grid_override, "--grid-override", False)
         if args.tmax is not None:
-            if args.tmax <= 0.0:
-                raise ConfigError("--tmax must be positive")
-            scenario.grid["t_max"] = float(args.tmax)
+            scenario.grid["t_max"] = _positive(args.tmax, "--tmax", False)
         check_size(scenario)
         if args.out is not None:
             out_dir = Path(args.out)
@@ -477,6 +458,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _OrderingBreak:
+        return EXIT_PHYSICALITY
     except (CausalityError, DegeneracyError) as exc:
         print(f"physicality error: {exc}", file=sys.stderr)
         return EXIT_PHYSICALITY

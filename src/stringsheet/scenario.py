@@ -48,6 +48,15 @@ def _finite(value, name) -> float:
     return number
 
 
+def _positive(value, name, or_zero: bool) -> float:
+    """``value`` as a finite float above 0 (or at 0, with ``or_zero``), or a
+    ConfigError naming ``name``."""
+    number = _finite(value, name)
+    if not (number > 0.0 or (or_zero and number == 0.0)):
+        raise ConfigError(f"{name!r} must be {'at least 0' if or_zero else 'positive'}, got {value!r}")
+    return number
+
+
 def _whole(value, name, least: int) -> int:
     """``value`` as a whole number at or above ``least``, or a ConfigError
     naming ``name``: nothing is truncated or clamped."""
@@ -144,9 +153,16 @@ class Scenario:
         return _whole(self.output.get("snapshot_stride", 16), "snapshot_stride", 1)
 
     @property
-    def compare_levels(self) -> int:
-        """Rungs of the ``compare`` ladder: the step, then each doubling."""
-        return _whole(self.raw.get("compare", {}).get("levels", 3), "levels", 1)
+    def compare_steps(self) -> list:
+        """The steps of the ``compare`` ladder, one per rung, coarsest first:
+        the step doubled ``levels - 1`` times, then each halving down to it."""
+        levels = _whole(self.raw.get("compare", {}).get("levels", 3), "levels", 1)
+        try:
+            return [math.ldexp(self.step, k) for k in reversed(range(levels))]
+        except OverflowError:
+            raise ConfigError(
+                f"'levels' = {levels} doubles grid 'h' = {self.step:g} past the largest float"
+            ) from None
 
 
 def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
@@ -161,9 +177,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         raise ConfigError("grid section requires a step 'h'")
     if "t_max" not in grid:
         raise ConfigError("grid section requires 't_max'")
-    grid["h"], grid["t_max"] = _numbers(grid, {"h": None, "t_max": None})
-    if grid["h"] <= 0.0 or grid["t_max"] <= 0.0:
-        raise ConfigError("grid values must be positive")
+    grid["h"], grid["t_max"] = (_positive(grid[key], key, False) for key in ("h", "t_max"))
     thresholds = DEFAULT_THRESHOLDS
     overrides = cfg.get("thresholds", {})
     if overrides:
@@ -171,7 +185,11 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         bad = set(overrides) - known
         if bad:
             raise ConfigError(f"unknown threshold keys: {sorted(bad)}")
-        thresholds = replace(thresholds, **{k: _finite(v, k) for k, v in overrides.items()})
+        # the ceilings must be above 0, the other thresholds at least 0
+        ceilings = ("monitor_ceiling", "field_ceiling")
+        thresholds = replace(
+            thresholds, **{k: _positive(v, k, k not in ceilings) for k, v in overrides.items()}
+        )
     scenario = Scenario(
         metric=dict(cfg["metric"]),
         domain=dict(cfg["domain"]),
@@ -183,7 +201,7 @@ def scenario_from_dict(cfg: dict, base_dir: Path = Path(".")) -> Scenario:
         raw=cfg,
     )
     # the output and compare values are read late; reject them at load
-    scenario.out_dir, scenario.snapshot_stride, scenario.compare_levels
+    scenario.out_dir, scenario.snapshot_stride, scenario.compare_steps
     check_size(scenario)
     return scenario
 

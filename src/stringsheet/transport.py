@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
+from . import worldsheet
 from .errors import CausalityError
 from .worldsheet import Profile, StringInitialData, _continue
 
@@ -70,13 +71,10 @@ class CoordinateMap:
 
 def build_theta0(data: StringInitialData) -> CoordinateMap:
     """Cumulative-Simpson table of the straightening coordinate, anchored at
-    the grid node nearest theta = 0, with a monotone-cubic inverse."""
+    the grid node nearest theta = 0, with a monotone-cubic inverse.  The
+    speeds must be ordered at every node (``worldsheet.check_physicality``)."""
+    worldsheet.check_physicality(data)
     gap = data.lam_plus - data.lam_minus
-    if np.any(gap <= 0.0):
-        k = int(np.argmin(gap))
-        raise CausalityError(
-            f"speed ordering fails at node {k}; straightening map undefined"
-        )
     theta = data.theta
     if data.period is None:
         theta_ext, integrand = theta, 2.0 / gap

@@ -9,7 +9,7 @@ built from the induced metric of the sheet; they are strictly ordered
 exactly when the state is timelike (delta = g00 g11 - g01^2 < 0).  This
 module derives the speeds, the energy density and the null data from
 sampled initial curves, holds ``Profile``, the one interpolant of every
-sampled curve, and runs the physicality checks.
+sampled curve, and checks the speed ordering at t = 0.
 """
 from __future__ import annotations
 
@@ -32,10 +32,8 @@ from .metrics import MetricModel
 __all__ = [
     "Profile",
     "StringInitialData",
-    "OrderingReport",
     "fourth_order_derivative",
     "build_initial_data",
-    "ordering_sweep",
     "check_physicality",
 ]
 
@@ -291,71 +289,20 @@ def _periodic_wrap_mismatch(phi, h) -> float:
 
 
 # ---------------------------------------------------------------------------
-# physicality checks
+# physicality check
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingReport:
-    pointwise_ok: bool
-    global_ok: bool
-    pointwise_violation: Optional[tuple] = None  # (theta, lam-, lam+)
-    global_violation: Optional[tuple] = None  # (theta1, theta2, lam-, lam+)
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.pointwise_ok and self.global_ok
-
-
-def ordering_sweep(lam_minus, lam_plus, periodic: bool):
-    """Single left-to-right sweep of the global ordering condition.
-
-    For every node k the running max of lam_minus over earlier nodes must be
-    strictly below lam_plus at k.  Closed strings sweep two periods, which
-    covers every ordered pair on the circle.  Ties count as violations.
-    Returns (ok, (i1, i2)) with indices into the (possibly doubled) arrays
-    reduced modulo the base length.
-    """
-    lm = np.asarray(lam_minus, dtype=float)
-    lp = np.asarray(lam_plus, dtype=float)
-    n = lm.shape[0]
-    if periodic:
-        lm = np.concatenate([lm, lm])
-        lp = np.concatenate([lp, lp])
-    # the running max of lm over the nodes before k, against lp at k
-    hit = np.maximum.accumulate(lm)[:-1] >= lp[1:]
-    if not np.any(hit):
-        return True, None
-    k = int(np.argmax(hit)) + 1
-    return False, (int(np.argmax(lm[:k])) % n, k % n)
-
-
-def check_physicality(data: StringInitialData) -> OrderingReport:
-    """Pointwise and global speed-ordering checks; violations are report
-    content, not exceptions."""
-    gap = data.lam_plus - data.lam_minus
-    pointwise_ok = bool(np.all(gap > 0.0))
-    pv = None
-    if not pointwise_ok:
-        k = int(np.argmin(gap))
-        pv = (float(data.theta[k]), float(data.lam_minus[k]), float(data.lam_plus[k]))
-    periodic = data.period is not None
-    ok, pair = ordering_sweep(data.lam_minus, data.lam_plus, periodic)
-    gv = None
-    if not ok:
-        i1, i2 = pair
-        gv = (
-            float(data.theta[i1]),
-            float(data.theta[i2]),
-            float(data.lam_minus[i1]),
-            float(data.lam_plus[i2]),
+def check_physicality(data: StringInitialData) -> None:
+    """Raise CausalityError at the first node where the speeds are not
+    strictly ordered, lam- < lam+ (a NaN speed fails too).  This is the
+    check at t = 0 only; the order at later times is that of the
+    transported speeds on the lattice."""
+    bad = ~(data.lam_plus - data.lam_minus > 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise CausalityError(
+            f"speed ordering fails at node {k} (theta={data.theta[k]:.6g}, "
+            f"lam-={data.lam_minus[k]:.6g}, lam+={data.lam_plus[k]:.6g}); "
+            "straightening map undefined"
         )
-    note = "closed-string sweep over two periods" if periodic else ""
-    return OrderingReport(
-        pointwise_ok=pointwise_ok,
-        global_ok=ok,
-        pointwise_violation=pv,
-        global_violation=gv,
-        note=note,
-    )

@@ -7,8 +7,8 @@ check:
 * per-point worldsheet kinematics: induced metric, characteristic speeds,
   the first-order system's eigenstructure, null pairs, and the analytic and
   finite-difference speed gradients behind linear degeneracy;
-* the global speed-ordering sweep as one loop over the nodes, and the
-  ordering of the transported speeds over a whole product lattice at once;
+* the ordering of the transported speeds over a whole product lattice at
+  once;
 * the metric models' connection coefficients and metric partials, with a
   finite-difference oracle built from the metric tensor alone, the metric
   tensor itself written from the line element, and the relative null
@@ -226,27 +226,6 @@ def linear_degeneracy_residuals_fd(model, state: StateVector, step: float = 1e-6
     res_minus = np.max(np.abs(-float(lm0) * dv[0] + dw[0]))
     res_plus = np.max(np.abs(-float(lp0) * dv[1] + dw[1]))
     return float(res_minus), float(res_plus)
-
-
-def ordering_sweep_loop(lam_minus, lam_plus, periodic):
-    """``worldsheet.ordering_sweep`` as one loop: the running max of
-    lam_minus over the nodes before k and its first node, against lam_plus
-    at k, over two periods on a ring."""
-    lm = np.asarray(lam_minus, dtype=float)
-    lp = np.asarray(lam_plus, dtype=float)
-    n = lm.shape[0]
-    if periodic:
-        lm = np.concatenate([lm, lm])
-        lp = np.concatenate([lp, lp])
-    run = -np.inf
-    arg = -1
-    for k in range(1, lm.shape[0]):
-        if lm[k - 1] > run:
-            run = lm[k - 1]
-            arg = k - 1
-        if run >= lp[k]:
-            return False, (arg % n, k % n)
-    return True, None
 
 
 def whole_lattice_ordering_violation(cmap, t_nodes, vtheta_nodes):

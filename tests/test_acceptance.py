@@ -4,8 +4,10 @@ Each test prints a single `[criterion N] PASS ...` line on success; a failed
 assertion marks the criterion red.  The heavy periodic runs are shared
 through a module-level cache.
 """
+import io
 import json
 import time
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -29,9 +31,11 @@ from oracles import (
     induced_metric,
     linear_degeneracy_residuals,
     linear_degeneracy_residuals_fd,
+    map_from_profiles,
     rk4_transport_check,
     route_u3,
     system_matrix,
+    whole_lattice_ordering_violation,
 )
 from stringsheet import (
     Minkowski,
@@ -43,8 +47,7 @@ from stringsheet import (
     solve,
     solve_riemann_invariants,
 )
-from stringsheet.cli import main
-from stringsheet.worldsheet import ordering_sweep
+from stringsheet.cli import _speed_ordering_violation, main
 
 RNG_SEED = 20260808
 _CACHE = {}
@@ -153,47 +156,47 @@ def test_criterion_4_riemann_transport():
           f"conservation orders {[f'{o:.2f}' for o in orders]}")
 
 
+def seeded_speed_profiles(rng, periodic, decreasing):
+    """(Lam-, Lam+) as functions of vartheta, 2 pi-periodic on a ring:
+    a decreasing minus profile under a constant gap, or a random sum of
+    harmonics under a random positive gap."""
+    if decreasing:
+        shift, gap = rng.uniform(-0.1, 0.1), rng.uniform(0.05, 0.2)
+        slope = (lambda s: 0.7 * np.sin(s)) if periodic else (lambda s: 0.7 * s)
+        lam_minus = lambda s: -np.tanh(slope(s)) + shift
+        return lam_minus, lambda s: lam_minus(s) + gap
+    base, a1, p1, a2, p2 = (rng.uniform(lo, hi) for lo, hi in
+                            ((-0.5, 0.3), (0.05, 0.5), (0, 6), (0.0, 0.3), (0, 6)))
+    g0, g1, p3 = rng.uniform(0.1, 1.2), rng.uniform(0.0, 0.6), rng.uniform(0, 6)
+    lam_minus = lambda s: base + a1 * np.sin(s + p1) + a2 * np.cos(2 * s + p2)
+    return lam_minus, lambda s: lam_minus(s) + g0 + g1 * (1.0 + np.sin(3 * s + p3))
+
+
 def test_criterion_5_ordering_criterion_sweep():
+    # the one speed-ordering verdict of every command, the lattice scan
+    # cli._speed_ordering_violation, against the speeds transported over the
+    # whole lattice at once, on 50 seeded profiles (rings and lines)
     rng = np.random.default_rng(RNG_SEED + 2)
-    n = 160
-    th = np.linspace(-6.0, 6.0, n)
-    th_per = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    checked = violating = 0
+    n, t_max = 160, 3.0
+    crossing = 0
     for case in range(50):
         periodic = case % 2 == 0
-        grid_now = th_per if periodic else th
-        if case % 3 == 2:
-            # constructed violating family: decreasing minus profile
-            lm = -np.tanh(0.7 * np.sin(grid_now) if periodic else 0.7 * grid_now)
-            lm = lm + rng.uniform(-0.1, 0.1)
-            lp = lm + rng.uniform(0.05, 0.2)
-        else:
-            lm = (
-                rng.uniform(-0.5, 0.3)
-                + rng.uniform(0.05, 0.5) * np.sin(grid_now + rng.uniform(0, 6))
-                + rng.uniform(0.0, 0.3) * np.cos(2 * grid_now + rng.uniform(0, 6))
-            )
-            lp = lm + rng.uniform(0.1, 1.2) + rng.uniform(0.0, 0.6) * (
-                1.0 + np.sin(3 * grid_now + rng.uniform(0, 6))
-            )
-        ok_sweep, pair_sweep = ordering_sweep(lm, lp, periodic)
-        # brute-force ordered-pair scan
-        lm2 = np.concatenate([lm, lm]) if periodic else lm
-        lp2 = np.concatenate([lp, lp]) if periodic else lp
-        ok_bf, pair_bf = True, None
-        for k in range(1, len(lm2)):
-            j = int(np.argmax(lm2[:k]))
-            if lm2[j] >= lp2[k]:
-                ok_bf, pair_bf = False, (j % n, k % n)
-                break
-        assert ok_sweep == ok_bf
-        if not ok_sweep:
-            assert pair_sweep == pair_bf
-            violating += 1
-        checked += 1
-    assert checked == 50 and violating >= 10
-    print(f"\n[criterion 5] PASS ordering sweep: 50 profiles "
-          f"({violating} violating), sweep == pair scan")
+        window = (0.0, 2 * np.pi) if periodic else (-6.0, 6.0)
+        lam_minus, lam_plus = seeded_speed_profiles(rng, periodic, case % 3 == 2)
+        cmap = map_from_profiles(lam_minus, lam_plus, window, nodes=n, periodic=periodic)
+        grid = build_grid(cmap, (window[1] - window[0]) / (n if periodic else n - 1), t_max)
+        assert grid.t_max == t_max
+        whole = whole_lattice_ordering_violation(cmap, grid.t_nodes, grid.vtheta)
+        with redirect_stdout(io.StringIO()) as out:
+            assert _speed_ordering_violation(cmap, grid) == whole
+        line = "" if whole is None else (
+            f"speed ordering breaks at t={whole[0]:.6g}, vartheta={whole[1]:.6g}\n"
+        )
+        assert out.getvalue() == line
+        crossing += whole is not None
+    assert crossing >= 10 and 50 - crossing >= 10, crossing
+    print(f"\n[criterion 5] PASS speed ordering: 50 profiles ({crossing} crossing "
+          f"for t <= {t_max:g}), lattice scan == whole-lattice transport")
 
 
 def test_criterion_6_closed_form_vs_general_solver():

@@ -105,6 +105,19 @@ MALFORMED_SMOOTH = {
     "snapshot_stride-fraction": (("output", "snapshot_stride"), 2.5),
     "levels-0": (("compare", "levels"), 0),
     "levels-fraction": (("compare", "levels"), 1.5),
+    # the coarsest rung, h 2^(levels - 1), is not a float
+    "levels-overflow": (("compare", "levels"), 1100),
+    # thresholds: the tolerances at least 0, the ceilings above 0
+    "eps_timelike-negative": (("thresholds", "eps_timelike"), -1e9),
+    "eps_g11-negative": (("thresholds", "eps_g11"), -1e-12),
+    "eps_log-negative": (("thresholds", "eps_log"), -1.0),
+    "l1_threshold-negative": (("thresholds", "l1_threshold"), -0.1),
+    "monitor_ceiling-0": (("thresholds", "monitor_ceiling"), 0.0),
+    "monitor_ceiling-negative": (("thresholds", "monitor_ceiling"), -1e-3),
+    "field_ceiling-0": (("thresholds", "field_ceiling"), 0),
+    "field_ceiling-negative": (("thresholds", "field_ceiling"), -1e8),
+    "h-0": (("grid", "h"), 0.0),
+    "t_max-negative": (("grid", "t_max"), -1.0),
     # a family spec that is not an object; the error names phi[0], psi[2]
     "phi-spec": (("initial_data", "phi", 0), 1),
     "psi-spec": (("initial_data", "psi", 2), "sine"),
@@ -129,15 +142,28 @@ def test_malformed_values_exit_1_with_one_error_line(case, command, tmp_path, ca
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 @pytest.mark.parametrize(
-    "flag, value, name", [("--tmax", "1e300", "t_max"), ("--grid-override", "1e-300", "h")]
+    "flag, value, name",
+    [("--tmax", "1e300", "t_max"), ("--grid-override", "1e-300", "h")]
+    + [(flag, value, flag) for flag in ("--tmax", "--grid-override")
+       for value in ("nan", "inf", "-inf", "0", "-1")],
 )
 def test_oversized_flags_exit_1_with_one_error_line(command, flag, value, name, tmp_path, capsys):
-    # the flags replace the grid after load; the size limit applies to them
+    # the flags replace the grid after load; the size limit applies to them,
+    # and a value that is not a positive finite number names the flag.
+    # "--tmax=-inf": argparse would read a separate "-inf" as an option
     out_dir = tmp_path / "out"
     path = SCENARIO_DIR / "ori_smooth.json"
-    code = main([command, str(path), flag, value, "--out", str(out_dir)])
+    code = main([command, str(path), f"{flag}={value}", "--out", str(out_dir)])
     assert_one_error_line(code, capsys.readouterr(), name)
     assert not out_dir.exists()
+
+
+def test_zero_thresholds_are_allowed(tmp_path):
+    # a tolerance of 0 is a strict test, not a malformed value
+    cfg = shipped_dict("ori_smooth")
+    cfg["grid"]["t_max"] = 1.0
+    cfg["thresholds"] = dict.fromkeys(["eps_timelike", "eps_g11", "eps_log", "l1_threshold"], 0)
+    assert main(["check", str(write_scenario(tmp_path, cfg))]) == 0
 
 
 def test_size_limit_is_far_above_the_largest_shipped_lattice():
@@ -449,11 +475,45 @@ def crossing_line_dict():
 
 
 def test_speeds_ordering_break_exits_2_without_the_field_file(tmp_path, capsys):
+    # the verdict comes before any output, so not even initial_speeds.csv
     out_dir = tmp_path / "sp"
     path = write_scenario(tmp_path, crossing_line_dict())
     assert main(["speeds", str(path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().out == "speed ordering breaks at t=2, vartheta=-3\n"
-    assert sorted(p.name for p in out_dir.iterdir()) == ["initial_speeds.csv"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("tmax, expect", [("1.9", 0), ("2.0", 2)])
+def test_one_ordering_verdict_for_every_command(tmp_path, capsys, tmax, expect):
+    # the crossing string's speeds cross at t = 2: up to t_max = 1.9 every
+    # command passes, up to 2.0 each exits 2 with the same one line and
+    # writes nothing
+    path = write_scenario(tmp_path, crossing_line_dict())
+    for command in ("check", "simulate", "speeds"):
+        out_dir = tmp_path / command
+        code = main([command, str(path), "--tmax", tmax, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == expect, (command, captured)
+        assert captured.err == ""
+        if expect == 2:
+            assert captured.out == "speed ordering breaks at t=2, vartheta=-3\n"
+            assert not out_dir.exists()
+        elif command == "check":
+            assert "speed ordering     : PASS for t <= 1.9" in captured.out.splitlines()
+
+
+def test_check_refuses_a_line_t_max_past_the_triangle(tmp_path, capsys):
+    # the window [-5, 5] determines the string up to t = 5 only; check lays
+    # out the lattice of every command, and refuses t_max = 6 as they do
+    path = write_scenario(tmp_path, crossing_line_dict())
+    for command in ("check", "simulate", "speeds"):
+        code = main([command, str(path), "--tmax", "6", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.splitlines() == [
+            "error: window supports only t <= 5 at step 0.05, requested t_max=6"
+        ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_speeds_ordering_break_in_a_later_batch_leaves_no_field_file(
@@ -467,7 +527,7 @@ def test_speeds_ordering_break_in_a_later_batch_leaves_no_field_file(
     path = write_scenario(tmp_path, crossing_line_dict())
     assert main(["speeds", str(path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().out == "speed ordering breaks at t=2, vartheta=-3\n"
-    assert sorted(p.name for p in out_dir.iterdir()) == ["initial_speeds.csv"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -379,9 +379,7 @@ def ori_smooth_solve(field_ceiling, wrap=lambda model: model):
     cfg = json.loads((SCENARIO_DIR / "ori_smooth.json").read_text())
     cfg["thresholds"] = {"field_ceiling": field_ceiling}
     sc = scenario_from_dict(cfg)
-    model, data = cli._prepare(sc)
-    cmap = build_theta0(data)
-    grid = build_grid(cmap, sc.step, sc.t_max)
+    model, data, cmap, grid = cli._prepare(sc)
     return solve(wrap(model), data, cmap, grid, sc.thresholds)
 
 

@@ -106,14 +106,20 @@ def test_theta0_monotone_and_roundtrip(rng):
 
 
 def test_theta0_rejects_violated_ordering():
+    # a gap that collapses from node 4 of 11 on, or NaN speeds at nodes 4
+    # and 7: the error names node 4, the first
     model = Minkowski(2)
     th = np.linspace(0.0, 1.0, 11)
     phi = np.stack([np.zeros(11), th, np.zeros(11)], axis=1)
     psi = np.stack([np.ones(11), np.zeros(11), np.zeros(11)], axis=1)
-    data = build_initial_data(model, th, phi, psi, None)
-    data.lam_plus[:] = data.lam_minus  # corrupt: gap collapses
-    with pytest.raises(CausalityError):
-        build_theta0(data)
+    for corrupt in ("collapsed", "nan"):
+        data = build_initial_data(model, th, phi, psi, None)
+        if corrupt == "collapsed":
+            data.lam_plus[4:] = data.lam_minus[4:]
+        else:
+            data.lam_plus[[4, 7]] = np.nan
+        with pytest.raises(CausalityError, match="at node 4 "):
+            build_theta0(data)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +280,7 @@ def test_inverse_map_levels_are_independent_of_the_slice():
 def test_midpoint_march_converges_to_the_exact_map_at_second_order():
     # the midpoint march the closed form replaced, on ori_global for t <= 3.5:
     # its error falls 4x per halving of the step (1.475e-5 at h = 0.01)
-    _, data = _prepare(load_scenario(SCENARIO_DIR / "ori_global.json"))
-    cmap = build_theta0(data)
+    _, _, cmap, _ = _prepare(load_scenario(SCENARIO_DIR / "ori_global.json"))
     errors = []
     for h in (0.01, 0.005):
         grid = build_grid(cmap, h, 3.5)

@@ -18,14 +18,15 @@ from oracles import (
     induced_metric,
     linear_degeneracy_residuals,
     linear_degeneracy_residuals_fd,
+    map_from_profiles,
     metric_tensor,
     null_pair,
-    ordering_sweep_loop,
     quad_across,
     ring_knots,
     smallness_flag,
     speed_gradients,
     system_matrix,
+    whole_lattice_ordering_violation,
 )
 from stringsheet import (
     CausalityError,
@@ -36,8 +37,9 @@ from stringsheet import (
     build_initial_data,
     check_physicality,
 )
-from stringsheet.lightcone import relative_null_residuals
-from stringsheet.worldsheet import Profile, fourth_order_derivative, ordering_sweep
+from stringsheet.cli import _speed_ordering_violation
+from stringsheet.lightcone import build_grid, relative_null_residuals
+from stringsheet.worldsheet import Profile, fourth_order_derivative
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
 
@@ -445,99 +447,73 @@ def test_ring_profile_integral_is_finite_at_the_period_seams():
 
 
 # ---------------------------------------------------------------------------
-# physicality checks
+# the speed-ordering verdict
 # ---------------------------------------------------------------------------
 
 
-def brute_force_sweep(lam_minus, lam_plus, periodic):
-    lm = np.concatenate([lam_minus, lam_minus]) if periodic else np.asarray(lam_minus)
-    lp = np.concatenate([lam_plus, lam_plus]) if periodic else np.asarray(lam_plus)
-    n = len(lam_minus)
-    for k in range(1, len(lm)):
-        j = int(np.argmax(lm[:k]))
-        if lm[j] >= lp[k]:
-            return False, (j % n, k % n)
-    return True, None
+def lattice_verdict(lam_minus, lam_plus, window, periodic, t_max):
+    """The speed-ordering verdict of every command, the lattice scan
+    ``cli._speed_ordering_violation``, on the map of two speed profiles of
+    vartheta at 201 nodes (127 on a ring, an odd count, so that by
+    t = period the scan has set every lam- node against every lam+ node);
+    checked against the whole-lattice oracle."""
+    nodes = 127 if periodic else 201
+    cmap = map_from_profiles(lam_minus, lam_plus, window, nodes=nodes, periodic=periodic)
+    span = window[1] - window[0]
+    grid = build_grid(cmap, span / (nodes if periodic else nodes - 1), t_max)
+    violation = _speed_ordering_violation(cmap, grid)
+    assert violation == whole_lattice_ordering_violation(cmap, grid.t_nodes, grid.vtheta)
+    return cmap, grid, violation
 
 
 def test_sweep_constant_separated():
-    lm = np.full(50, -1.0)
-    lp = np.full(50, 1.0)
-    ok, _ = ordering_sweep(lm, lp, periodic=False)
-    assert ok
+    _, _, violation = lattice_verdict(
+        lambda s: np.full_like(s, -1.0), lambda s: np.full_like(s, 1.0), (-5.0, 5.0), False, 4.0
+    )
+    assert violation is None
 
 
 def test_sweep_monotone_shifted_profiles_pass():
-    # lam- rising below a uniformly shifted lam+ never violates the
-    # ordered-pair condition (brute-force scan agrees)
-    th = np.linspace(-5, 5, 201)
-    lm = np.tanh(th)
-    lp = np.tanh(th) + 0.1
-    ok, _ = ordering_sweep(lm, lp, periodic=False)
-    ok_bf, _ = brute_force_sweep(lm, lp, periodic=False)
-    assert ok and ok_bf
+    # lam- rising below a uniformly shifted lam+: lam-(s - t) <= lam-(s + t)
+    # < lam+(s + t), so the speeds never cross
+    _, _, violation = lattice_verdict(np.tanh, lambda s: np.tanh(s) + 0.1, (-5.0, 5.0), False, 4.0)
+    assert violation is None
 
 
 def test_sweep_decreasing_profile_fails():
-    th = np.linspace(-5, 5, 201)
-    lm = -np.tanh(th)
-    lp = -np.tanh(th) + 0.1
-    ok, pair = ordering_sweep(lm, lp, periodic=False)
-    ok_bf, pair_bf = brute_force_sweep(lm, lp, periodic=False)
-    assert not ok and not ok_bf
-    assert pair == pair_bf
+    # lam-(s - t) >= lam+(s + t) once tanh(s + t) - tanh(s - t) >= 0.1, at
+    # s = 0 from t = atanh(0.05) = 0.050 on: the third level at step 0.05
+    _, _, violation = lattice_verdict(
+        lambda s: -np.tanh(s), lambda s: -np.tanh(s) + 0.1, (-5.0, 5.0), False, 4.0
+    )
+    assert violation is not None and violation[0] == pytest.approx(0.1)
 
 
 def test_sweep_opening_fan_passes():
-    th = np.linspace(-5, 5, 201)
-    lm = -1.0 - 0.3 * np.arctan(th)
-    lp = 1.0 + 0.3 * np.arctan(th)
-    ok, _ = ordering_sweep(lm, lp, periodic=False)
-    ok_bf, _ = brute_force_sweep(lm, lp, periodic=False)
-    assert ok and ok_bf
-
-
-def test_sweep_matches_brute_force_random(rng):
-    th = np.linspace(0, 2 * np.pi, 80, endpoint=False)
-    for k in range(30):
-        periodic = bool(k % 2)
-        base = rng.normal(0, 0.4)
-        lm = base + 0.3 * np.sin(th + rng.uniform(0, 6)) + rng.uniform(-0.2, 0.6) * np.cos(2 * th)
-        gap = 0.15 + rng.uniform(0.0, 1.0) + 0.5 * (1 + np.sin(3 * th + rng.uniform(0, 6)))
-        lp = lm + gap
-        ok, pair = ordering_sweep(lm, lp, periodic)
-        ok_bf, pair_bf = brute_force_sweep(lm, lp, periodic)
-        assert ok == ok_bf
-        if not ok:
-            assert pair == pair_bf
-
-
-@given(
-    speeds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=24),
-    periodic=st.booleans(),
-)
-def test_sweep_matches_the_loop_on_ties(speeds, periodic):
-    # four speed values only, so running maxima and violations tie often
-    lm, lp = (np.array(column, dtype=float) for column in zip(*speeds))
-    got = ordering_sweep(lm, lp, periodic)
-    assert got == ordering_sweep_loop(lm, lp, periodic)
+    _, _, violation = lattice_verdict(
+        lambda s: -1.0 - 0.3 * np.arctan(s), lambda s: 1.0 + 0.3 * np.arctan(s),
+        (-5.0, 5.0), False, 4.0,
+    )
+    assert violation is None
 
 
 def test_check_physicality_on_good_data():
     _, data = circle_ori_data(nodes=64)
-    report = check_physicality(data)
-    assert report.ok and report.pointwise_ok and report.global_ok
-    assert "two periods" in report.note
+    assert check_physicality(data) is None
 
 
 def test_periodic_condition_is_global_extremum_comparison():
-    # on a closed string the ordered-pair condition collapses to
-    # max(lam-) < min(lam+); build a profile violating exactly that
-    th = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-    lm = 0.4 * np.sin(th)
-    lp = 0.5 + 0.4 * np.sin(th + 2.5)
-    ok, _ = ordering_sweep(lm, lp, periodic=True)
-    assert ok == (np.max(lm) < np.min(lp))
+    # on a closed string, scanned to t = one period, the speeds cross exactly
+    # when max(lam-) >= min(lam+) over the lattice nodes; lam+ - lam- >=
+    # offset - 0.384 keeps the two ordered at each node
+    for offset, crosses in ((0.5, True), (0.9, False)):
+        cmap, grid, violation = lattice_verdict(
+            lambda s: 0.4 * np.sin(s), lambda s: offset + 0.4 * np.sin(s + 1.0),
+            (0.0, 2 * np.pi), True, 2 * np.pi,
+        )
+        assert grid.n_levels >= len(grid.vtheta) - 1
+        lm, lp = cmap.lam_minus_bar(grid.vtheta), cmap.lam_plus_bar(grid.vtheta)
+        assert (violation is not None) == crosses == (np.max(lm) >= np.min(lp))
 
 
 # ---------------------------------------------------------------------------
