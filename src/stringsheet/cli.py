@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
-import mmap
 import multiprocessing
 import signal
 import sys
@@ -61,7 +59,6 @@ EXIT_CONSISTENCY = 5
 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted by one ``%`` operation
-WRITER_LEVELS = 4  # snapshot levels handed to the writer process and not yet written
 
 
 def _format_once(col):
@@ -212,76 +209,69 @@ class _SnapshotProcess:
     """A forked process that runs ``write(m, u, p, q)`` on the levels handed
     to ``put``, in order, while the caller marches on.
 
-    ``put`` copies a level into one of ``WRITER_LEVELS`` slots of a buffer
-    the two processes share and names the slot over a pipe.  The writer
-    answers each level on a second pipe: None once it is written, or the
-    exception ``write`` raised, after which it writes nothing more.  So at
-    most ``WRITER_LEVELS`` levels wait, and a write error is raised in the
-    caller at a later ``put`` or on leaving the ``with`` block, which waits
-    for every level and ends the process on every exit path.
+    ``put`` sends the level over a pipe, whose own buffer bounds what waits.
+    The writer answers once: with the first exception ``write`` raised, as
+    soon as it is raised (later levels are read and not written), or with
+    None after the end mark.  ``put`` raises an early answer instead of
+    sending; leaving the ``with`` block sends the end mark, raises the
+    answer and ends the process on every exit path.  An interrupt, which
+    may cut a level in half, closes the pipe instead of sending the mark.
 
     The process is forked so that it inherits ``write`` with the model,
-    grid and map it closes over; only level numbers, shapes and errors are
-    pickled.  The caller must not be running threads of its own."""
+    grid and map it closes over.  The caller must not be running threads of
+    its own."""
 
-    def __init__(self, write, slot_floats):
+    def __init__(self, write):
         ctx = multiprocessing.get_context("fork")
-        buffer = mmap.mmap(-1, 8 * WRITER_LEVELS * slot_floats)
-        self.slots = np.frombuffer(buffer).reshape(WRITER_LEVELS, slot_floats)
-        jobs, self.jobs = ctx.Pipe(duplex=False)
-        self.answers, answers = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(target=self._serve, args=(write, jobs, answers))
+        self.pipe, pipe = ctx.Pipe()
+        self.process = ctx.Process(target=self._serve, args=(write, pipe))
         self.process.start()
-        jobs.close()
-        answers.close()
-        self.sent = self.answered = 0
+        pipe.close()
+        self.answered = False
 
-    def _serve(self, write, jobs, answers):
-        self.jobs.close()
-        self.answers.close()
+    def _serve(self, write, pipe):
+        self.pipe.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends the writer
-        failed = False
-        for m, slot, shape in iter(jobs.recv, None):
-            answer = None
-            if not failed:
+        answer = None
+        with contextlib.suppress(EOFError, OSError):  # the caller closed the pipe midway
+            for level in iter(pipe.recv, None):
                 try:
-                    write(m, *self.slots[slot, : 3 * math.prod(shape)].reshape(3, *shape))
+                    if answer is None:
+                        write(*level)
                 except Exception as exc:  # raised again in the caller
-                    answer, failed = exc, True
-            answers.send(answer)
+                    pipe.send(answer := exc)
+            if answer is None:
+                pipe.send(None)
 
     def _answer(self):
+        self.answered = True
         try:
-            answer = self.answers.recv()
-        except EOFError:  # the writer died without answering
+            answer = self.pipe.recv()
+        except (EOFError, ConnectionError):  # the writer died without answering
             self.process.join()
             raise OSError(f"snapshot writer process ended with code {self.process.exitcode}") from None
-        self.answered += 1
         if answer is not None:
             raise answer
 
     def put(self, m, u, p, q):
-        while self.answers.poll() or self.sent - self.answered == WRITER_LEVELS:
+        if self.pipe.poll():  # the writer failed or died
             self._answer()
-        slot = self.sent % WRITER_LEVELS
-        np.concatenate([u.ravel(), p.ravel(), q.ravel()], out=self.slots[slot, : 3 * u.size])
-        self.jobs.send((m, slot, u.shape))
-        self.sent += 1
+        self.pipe.send((m, u, p, q))  # a ConnectionError here is a writer that died: see __exit__
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, *_):
         try:
-            while self.answered < self.sent:
-                self._answer()
+            if exc_type is None or issubclass(exc_type, Exception):
+                with contextlib.suppress(ConnectionError):  # a writer that died reads no more
+                    self.pipe.send(None)
+                if not self.answered:
+                    self._answer()
         finally:
-            with contextlib.suppress(BrokenPipeError):  # a writer that died reads no more
-                self.jobs.send(None)
+            self.pipe.close()
             self.process.join()
             self.process.close()
-            self.jobs.close()
-            self.answers.close()
 
 
 def _speed_blocks(cmap, grid):
@@ -300,9 +290,8 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     model, data, cmap, grid = _prepare(scenario)
     stride = scenario.snapshot_stride
     snapshots, last = [], []
-    width = 3 * len(grid.vtheta) * model.dim
     # the writer forks here, with the model, grid and map the levels need
-    with _SnapshotProcess(_snapshot_writer(model, grid, cmap, out_dir), width) as writer:
+    with _SnapshotProcess(_snapshot_writer(model, grid, cmap, out_dir)) as writer:
 
         def sink(m, *fields):
             last[:] = [m, *fields]
@@ -440,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse gives a usage error code 2, a physicality code here
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         scenario = load_scenario(args.scenario)
         if args.grid_override is not None:

@@ -225,6 +225,8 @@ def build_initial_data(
         )
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
         raise ConfigError("initial data contains non-finite entries")
+    if len(theta) < 5:
+        raise ConfigError(f"the grid has {len(theta)} data node(s), fewer than the 5 the derivative stencils need")
     spacing = _check_uniform(theta)
     if period is not None:
         if abs(theta[-1] + spacing - theta[0] - period) > 1e-8 * period:

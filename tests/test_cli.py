@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -197,6 +198,52 @@ def test_negative_spatial_dimension_exits_1_with_one_error_line(value, tmp_path,
     assert_one_error_line(code, capsys.readouterr(), "spatial_dim")
 
 
+BLOWUP_PATH = str(SCENARIO_DIR / "ori_blowup.json")
+USAGE_ERRORS = {
+    "unknown-flag": ["check", BLOWUP_PATH, "--bogus"],
+    "no-scenario": ["check"],
+    "flag-without-value": ["check", BLOWUP_PATH, "--tmax"],
+    "unknown-command": ["bogus", BLOWUP_PATH],
+    "no-arguments": [],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse's own code for a usage error is 2, this CLI's physicality code
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert lines[0].startswith("usage: stringsheet")
+    assert lines[-1].startswith("stringsheet") and ": error: " in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: stringsheet")
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [(command, ("grid", "h"), 100) for command in cli.COMMANDS]
+    + [("compare", ("compare", "levels"), 1000)],
+)
+def test_a_line_window_with_too_few_data_nodes_exits_1(command, path, value, tmp_path, capsys):
+    # the window [-10, 10] holds one data node at h = 100, and on compare's
+    # coarsest rung at 1000 levels (h 2^999); the stencils need 5
+    cfg = set_at(shipped_dict("ori_blowup"), path, value)
+    code = main([command, str(write_scenario(tmp_path, cfg)), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the grid has 1 data node(s), fewer than the 5 the derivative stencils need"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def _not_a_finite_number(text):
     try:
         return not math.isfinite(float(text))
@@ -312,6 +359,12 @@ def writer_pids(pid_file):
     return set(pid_file.read_text().split()) if pid_file.exists() else set()
 
 
+def ring_1024():
+    # 3,219 nodes a level, 309 KB pickled: more than a socketpair's buffer,
+    # so the hand-off of a level waits while the writer is busy
+    return ori_smooth_scenario_dict(h=float(2 * np.pi / 1024), t_max=0.5, stride=4)
+
+
 @pytest.mark.parametrize(
     "make, expect",
     [
@@ -319,8 +372,9 @@ def writer_pids(pid_file):
         (lambda: blowup_scenario_dict(), 4),
         (lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 16), t_max=2.0), 5),
         (lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0), 1),
+        (ring_1024, 0),
     ],
-    ids=["exit0", "exit4", "exit5", "exit1"],
+    ids=["exit0", "exit4", "exit5", "exit1", "exit0-1024"],
 )
 def test_simulate_leaves_no_writer_process_or_thread(tmp_path, monkeypatch, make, expect):
     # the snapshots are written by one other process, which main has joined
@@ -338,23 +392,64 @@ def test_simulate_leaves_no_writer_process_or_thread(tmp_path, monkeypatch, make
     assert len(pids) == 1 and str(os.getpid()) not in pids
 
 
-def test_simulate_write_failure_prints_one_error_line(tmp_path, capfd):
+def fail_second_write(monkeypatch):
+    """Make the second CSV write raise a full disk's OSError."""
+    write_csv, calls = cli._write_csv, []
+
+    def failing(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        write_csv(*args)
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+
+
+@pytest.mark.parametrize("h", [64, 1024])
+def test_simulate_write_failure_prints_one_error_line(tmp_path, monkeypatch, capfd, h):
     # the writer's OSError is raised again in main, which prints it once; the
-    # writer itself prints nothing (capfd sees the writer's own stderr)
-    (tmp_path / "file").write_text("")
-    out_dir = tmp_path / "file" / "out"
-    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0))
-    assert main(["simulate", str(path), "--out", str(out_dir)]) == 1
+    # writer itself prints nothing (capfd sees the writer's own stderr).
+    # At 2pi/64 --out is under a file; at 2pi/1024 the disk fills on the
+    # second level, and the writer writes no level after it
+    out_dir = tmp_path / "out"
+    if h == 64:
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+        cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0)
+        message = f"[Errno 20] Not a directory: '{out_dir}'"
+    else:
+        fail_second_write(monkeypatch)
+        cfg = ring_1024()
+        message = "[Errno 28] No space left on device"
+    assert main(["simulate", str(write_scenario(tmp_path, cfg)), "--out", str(out_dir)]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: [Errno 20] Not a directory: '{out_dir}'"]
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert multiprocessing.active_children() == []
+    if h == 1024:
+        assert [p.name for p in out_dir.iterdir()] == ["snapshot_00000.csv"]
 
 
-def test_simulate_reports_a_writer_that_died(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize(
+    "make, delay",
+    [
+        (lambda: ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0), 0.0),
+        (ring_1024, 0.0),
+        (ring_1024, 0.2),
+    ],
+    ids=["64", "1024", "1024-mid-send"],
+)
+def test_simulate_reports_a_writer_that_died(tmp_path, monkeypatch, capfd, make, delay):
     # a writer killed from outside (say, out of memory) answers nothing: one
-    # error line, exit 1, and nothing left running
-    monkeypatch.setattr(cli, "_write_csv", lambda *args: os._exit(9))
-    path = write_scenario(tmp_path, ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0))
+    # error line, exit 1, and nothing left running, whether main finds it
+    # dead when it reads, or while it waits in sending a level the writer
+    # is too busy to take
+    def die(*args):
+        time.sleep(delay)
+        os._exit(9)
+
+    monkeypatch.setattr(cli, "_write_csv", die)
+    path = write_scenario(tmp_path, make())
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
@@ -362,14 +457,12 @@ def test_simulate_reports_a_writer_that_died(tmp_path, monkeypatch, capfd):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("writer_levels", [1, cli.WRITER_LEVELS])
-def test_listed_snapshots_are_whole_when_main_returns(tmp_path, monkeypatch, writer_levels):
+def test_listed_snapshots_are_whole_when_main_returns(tmp_path, monkeypatch):
     # 10 levels at stride 3: levels 0, 3, 6, 9 and the last level 10; with a
     # writer slower than the march, main returns only after it wrote them all
     cfg = ori_smooth_scenario_dict(h=float(2 * np.pi / 64), t_max=1.0, stride=3)
     path = write_scenario(tmp_path, cfg)
     assert main(["simulate", str(path), "--out", str(tmp_path / "fast")]) == 0
-    monkeypatch.setattr(cli, "WRITER_LEVELS", writer_levels)
     slow_writer(monkeypatch, tmp_path / "pids")
     assert main(["simulate", str(path), "--out", str(tmp_path / "slow")]) == 0
     listed = json.loads((tmp_path / "slow" / "run_manifest.json").read_text())["snapshots"]
@@ -378,6 +471,47 @@ def test_listed_snapshots_are_whole_when_main_returns(tmp_path, monkeypatch, wri
     for name in listed:
         assert (tmp_path / "slow" / name).read_bytes() == (tmp_path / "fast" / name).read_bytes()
     assert str(os.getpid()) not in writer_pids(tmp_path / "pids")
+
+
+LEVEL = np.zeros((1 << 15, 4))  # 1 MB a field, more than a socketpair's buffer
+
+
+def test_put_raises_the_writers_error_before_it_sends():
+    def write(m, *fields):
+        raise OSError(28, "No space left on device")
+
+    with cli._SnapshotProcess(write) as writer:
+        writer.put(0, LEVEL, LEVEL, LEVEL)
+        assert writer.pipe.poll(30)  # the one answer, sent as write raised
+        with pytest.raises(OSError, match="No space left on device"):
+            writer.put(1, LEVEL, LEVEL, LEVEL)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_in_the_middle_of_a_level_ends_the_writer(tmp_path):
+    # the second level waits in send while the writer is busy with the
+    # first; an interrupt there cuts it in half, and leaving the with block
+    # still ends the writer, after the whole level it was sent
+    def write(m, *fields):
+        time.sleep(0.5)
+        with open(tmp_path / "written", "a") as fh:
+            fh.write(f"{m}\n")
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with cli._SnapshotProcess(write) as writer:
+                writer.put(0, LEVEL, LEVEL, LEVEL)
+                signal.setitimer(signal.ITIMER_REAL, 0.1)
+                writer.put(1, LEVEL, LEVEL, LEVEL)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (tmp_path / "written").read_text().split() == ["0"]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
